@@ -9,7 +9,7 @@
 //! a backlog instead of dropped.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -17,8 +17,8 @@ use placer_jobs::json::{parse_object, Json};
 use placer_jobs::JobSpec;
 
 use crate::protocol::{
-    bare_frame, hello_frame, is_report_line, submit_frame, sweep_frame, ErrorCode, ProtocolError,
-    SweepRequest,
+    bare_frame, hello_frame, is_report_line, submit_frame, sweep_frame, write_frame, ErrorCode,
+    ProtocolError, SweepRequest,
 };
 
 /// Why a client call failed.
@@ -172,6 +172,7 @@ impl Client {
         stream: bool,
     ) -> Result<Client, ClientError> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         let mut client = Client {
             reader,
@@ -202,9 +203,7 @@ impl Client {
     }
 
     fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, line)?;
         Ok(())
     }
 

@@ -4,11 +4,15 @@
 //! Thread model (hand-rolled, no async runtime — consistent with the
 //! workspace's vendored-shim policy):
 //!
-//! * one **accept loop** polling a nonblocking listener (so shutdown is
-//!   observed within ~50 ms);
+//! * one **accept loop** blocked in `accept`; shutdown sets the stop
+//!   flag and wakes it with a connection to its own listener, so no timer
+//!   sits on the connect, request or shutdown path;
 //! * one **handler thread per connection**, reading request frames and
 //!   answering admission results inline; completions arrive on the same
-//!   socket from worker threads through a shared locked writer;
+//!   socket from worker threads through a shared locked writer. Every
+//!   socket is `TCP_NODELAY` and every frame one write
+//!   (`protocol::write_frame`), so a frame leaves as soon as it is
+//!   written;
 //! * `workers` **worker threads** looping on
 //!   [`AdmissionQueue::take`](crate::queue::AdmissionQueue::take), each
 //!   running jobs through a [`JobEngine`] clone that shares the
@@ -27,8 +31,8 @@
 //! offline `jobs` binary.
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -42,8 +46,8 @@ use placer_obs::progress;
 use placer_sweep::{RaceConfig, SweepConfig, SweepEngine};
 
 use crate::protocol::{
-    accepted_frame, bare_frame, done_frame, parse_request, welcome_frame, ErrorCode, ProtocolError,
-    Request, SweepRequest,
+    accepted_frame, bare_frame, done_frame, parse_request, welcome_frame, write_frame, ErrorCode,
+    ProtocolError, Request, SweepRequest,
 };
 use crate::queue::{AdmissionQueue, AdmitError, Lease, QueueConfig, QueueStats};
 
@@ -83,7 +87,8 @@ impl Default for ServerConfig {
 
 /// Serialized write half of one connection, shared between its handler
 /// thread, the workers delivering its reports, and its progress
-/// forwarder. Every line is flushed — clients act on lines, not buffers.
+/// forwarder. The lock keeps concurrent frames whole; [`write_frame`]
+/// sends each in one write on the `TCP_NODELAY` socket.
 struct Outbound {
     stream: Mutex<TcpStream>,
 }
@@ -91,9 +96,7 @@ struct Outbound {
 impl Outbound {
     fn send_line(&self, line: &str) {
         let mut w = self.stream.lock().unwrap();
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
-        let _ = w.flush();
+        let _ = write_frame(&mut *w, line);
     }
 }
 
@@ -116,7 +119,10 @@ struct Shared {
     cache: Arc<ArtifactCache>,
     engine: JobEngine,
     ledger: RunLedger,
+    /// Set once the daemon stops; the accept loop exits on its next
+    /// accept, which [`stop_accepting`] causes by connecting to `wake`.
     stop: AtomicBool,
+    wake: SocketAddr,
     connections: AtomicU64,
     requests: AtomicU64,
     /// Job ids admitted but not yet delivered: the spool namespace is
@@ -175,7 +181,6 @@ impl Server {
         }
 
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let shared = Arc::new(Shared {
@@ -188,6 +193,7 @@ impl Server {
             engine,
             ledger: RunLedger::from_flag(config.ledger.as_deref()),
             stop: AtomicBool::new(false),
+            wake: wake_addr(addr),
             connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             inflight: Mutex::new(HashSet::new()),
@@ -252,7 +258,7 @@ impl Server {
     pub fn shutdown(mut self) {
         self.shared.queue.drain();
         self.shared.queue.wait_idle();
-        self.shared.stop.store(true, Ordering::Release);
+        stop_accepting(&self.shared);
         for t in self.worker_threads.drain(..) {
             let _ = t.join();
         }
@@ -262,27 +268,77 @@ impl Server {
     }
 }
 
+/// Pause after an accept error that would recur at once, such as running
+/// out of file descriptors.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
+    for conn in listener.incoming() {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+        match conn {
+            Ok(stream) => {
                 let shared = shared.clone();
                 let _ = std::thread::Builder::new()
                     .name("serve-conn".into())
                     .spawn(move || handle_connection(stream, &shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
+            Err(e) => {
+                if let Some(pause) = accept_backoff(&e) {
+                    std::thread::sleep(pause);
+                }
             }
-            Err(_) => return,
         }
     }
 }
 
+/// What the accept loop does after a failed `accept`; no error ends the
+/// loop, only `stop` does. An error that belongs to one pending
+/// connection (the peer aborted or reset it, a firewall refused it, a
+/// network error was pending on it) is skipped at once: `None`. Any other
+/// error, chiefly running out of descriptors (`EMFILE`, `ENFILE`), would
+/// fail again immediately, so the loop pauses before retrying instead of
+/// spinning.
+fn accept_backoff(e: &std::io::Error) -> Option<Duration> {
+    use std::io::ErrorKind as K;
+    match e.kind() {
+        K::ConnectionAborted
+        | K::ConnectionReset
+        | K::PermissionDenied
+        | K::NetworkDown
+        | K::NetworkUnreachable
+        | K::HostUnreachable => None,
+        _ => Some(ACCEPT_BACKOFF),
+    }
+}
+
+/// Where [`stop_accepting`] connects: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `[::]`) replaced by loopback, on which such
+/// a listener also accepts.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Sets `stop` and wakes the accept loop out of its blocking `accept`
+/// with a connection it drops unread. If the connect fails (say, no
+/// descriptors left), the loop is in its error back-off and sees `stop`
+/// on its next try.
+fn stop_accepting(shared: &Shared) {
+    shared.stop.store(true, Ordering::Release);
+    let _ = TcpStream::connect(shared.wake);
+}
+
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    // Frames are single writes, so Nagle's algorithm only delays them.
+    let _ = stream.set_nodelay(true);
     let out = Arc::new(Outbound {
         stream: Mutex::new(match stream.try_clone() {
             Ok(s) => s,
@@ -296,9 +352,10 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut streaming = false;
     let mut subscription: Option<Arc<progress::ProgressSubscription>> = None;
     let mut forwarder: Option<(Arc<AtomicBool>, JoinHandle<()>)> = None;
-    // Ids this connection has admitted; used to clean up the in-flight
-    // set if the client vanishes before its jobs are delivered... the
-    // worker removes each id at delivery, so nothing to undo here.
+    // A client that disconnects leaves its admitted jobs queued: each
+    // worker removes the job's id from the in-flight set when it delivers
+    // the report (a write to the closed socket just fails), so the
+    // handler has nothing to undo when the loop ends.
 
     let mut line = String::new();
     loop {
@@ -380,12 +437,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Request::Shutdown => {
                 shared.queue.drain();
                 shared.queue.wait_idle();
-                shared.stop.store(true, Ordering::Release);
                 let mut rec = LedgerRecord::new("serve");
                 rec.str_field("event", "shutdown")
                     .uint("completed", shared.queue.stats().completed);
                 shared.ledger_record(&mut rec);
                 out.send_line(&bare_frame("bye"));
+                // Last: once the accept loop ends, `Server::wait` returns
+                // and a `serve` process exits, taking this thread with it.
+                stop_accepting(shared);
                 break;
             }
             Request::Bye => {
@@ -581,4 +640,42 @@ fn run_sweep_lease(shared: &Arc<Shared>, lease: Lease<JobCtx>) {
     shared.ledger_record(&mut rec);
     shared.inflight.lock().unwrap().remove(&lease.spec.id);
     shared.queue.finish(lease, false);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Error, ErrorKind};
+
+    #[test]
+    fn accept_errors_skip_or_back_off_but_never_stop_the_loop() {
+        for kind in [
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+            ErrorKind::PermissionDenied,
+            ErrorKind::NetworkUnreachable,
+        ] {
+            assert_eq!(accept_backoff(&Error::from(kind)), None, "{kind:?}");
+        }
+        // errno values of ENFILE and EMFILE on Linux and the BSDs.
+        for errno in [23, 24] {
+            assert_eq!(
+                accept_backoff(&Error::from_raw_os_error(errno)),
+                Some(ACCEPT_BACKOFF),
+                "errno {errno}"
+            );
+        }
+        assert_eq!(
+            accept_backoff(&Error::from(ErrorKind::OutOfMemory)),
+            Some(ACCEPT_BACKOFF)
+        );
+    }
+
+    #[test]
+    fn unspecified_bind_addresses_wake_through_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7000"), "127.0.0.1:7000");
+        assert_eq!(wake("[::]:7000"), "[::1]:7000");
+        assert_eq!(wake("10.1.2.3:7000"), "10.1.2.3:7000");
+    }
 }
