@@ -1,11 +1,10 @@
 //! Regenerates `BENCH_hotpaths.json`: before/after wall-times for the hot
-//! paths the engine work optimized (see `benches/hotpaths.rs` for the
-//! criterion versions of the same pairs).
+//! paths the engine work optimized.
 //!
 //! "Before" is the seed implementation, kept in-tree as `*_reference`;
-//! "after" is the shipping path. `--quick` (or `CRITERION_QUICK=1`) cuts
-//! the sample counts for CI smoke runs; pass an output path as the first
-//! non-flag argument to write somewhere other than `./BENCH_hotpaths.json`.
+//! "after" is the shipping path. `--quick` cuts the sample counts for CI
+//! smoke runs; pass an output path as the first non-flag argument to write
+//! somewhere other than `./BENCH_hotpaths.json`.
 //!
 //! `--check[=PATH]` additionally compares the measured speedups against a
 //! committed baseline (default `BENCH_hotpaths.json` in the working
@@ -203,7 +202,7 @@ fn parse_args(
 fn main() {
     let t0 = Instant::now();
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut quick, check_baseline, positional_out, common) = match parse_args(&raw_args) {
+    let (quick, check_baseline, positional_out, common) = match parse_args(&raw_args) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!(
@@ -213,7 +212,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    quick = quick || std::env::var_os("CRITERION_QUICK").is_some_and(|v| v != "0");
     common.apply_threads();
     // `--out` and the historical positional spelling name the same file;
     // the flag wins when both are given.

@@ -6,7 +6,7 @@
 use analog_netlist::Circuit;
 use eplace::{EPlaceA, PlacerConfig};
 use placer_bench::trace::{require_tracing_or_exit, trace_flag, with_trace};
-use placer_bench::{paper_circuits, print_row};
+use placer_bench::{paper_circuits, print_row, run_placer};
 
 /// `--trace[=CIRCUIT]`: one circuit (smallest by default), the ablation's
 /// two ePlace-A settings traced into separate files, then exit. The traces
@@ -47,7 +47,7 @@ fn averaged(circuit: &Circuit, eta: f64) -> (f64, f64) {
         config.global.seed = seed;
         config.restarts = 1;
         config.preserve_gp = true;
-        if let Ok(r) = EPlaceA::new(config).place(circuit) {
+        if let Ok(r) = run_placer(&EPlaceA::new(config), circuit) {
             area += r.area;
             hpwl += r.hpwl;
             ok += 1.0;

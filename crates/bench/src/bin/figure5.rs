@@ -6,7 +6,7 @@
 
 use analog_netlist::testcases;
 use eplace::PlacerConfig;
-use placer_bench::{print_row, run_eplace_a_with};
+use placer_bench::{print_row, run_eplace_a_with, run_placer};
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::{Xu19GlobalConfig, Xu19Placer};
 
@@ -42,12 +42,11 @@ fn main() {
 
     // SA: sweep the HPWL weight.
     for w in [0.2, 0.5, 1.0, 2.0, 5.0] {
-        let result = SaPlacer::new(SaConfig {
+        let placer = SaPlacer::new(SaConfig {
             hpwl_weight: w,
             ..placer_bench::sa_config(&circuit)
-        })
-        .place(&circuit)
-        .expect("SA failed");
+        });
+        let result = run_placer(&placer, &circuit).expect("SA failed");
         print_row(
             &[
                 "SA".into(),
@@ -61,12 +60,11 @@ fn main() {
 
     // [11]: sweep the density/utilization knobs.
     for util in [0.25, 0.3, 0.35, 0.45, 0.55] {
-        let result = Xu19Placer::new(Xu19GlobalConfig {
+        let placer = Xu19Placer::new(Xu19GlobalConfig {
             utilization: util,
             ..Xu19GlobalConfig::default()
-        })
-        .place(&circuit)
-        .expect("xu19 failed");
+        });
+        let result = run_placer(&placer, &circuit).expect("xu19 failed");
         print_row(
             &[
                 "[11]".into(),

@@ -34,8 +34,8 @@ use std::io::Read as _;
 use std::process::ExitCode;
 
 use placer_bench::cli::{parse_status, value, CommonOpts, COMMON_USAGE};
-use placer_jobs::json::parse_object;
 use placer_jobs::{parse_jobs, JobStatus};
+use placer_obs::json::{field, parse_object};
 use placer_obs::ledger::{LedgerRecord, RunLedger};
 use placer_serve::{report_id, Client, ClientError};
 
@@ -119,21 +119,13 @@ fn read_specs(path: &str) -> Result<String, String> {
 /// The `status` field of a verbatim report line (for `--expect`).
 fn report_status(line: &str) -> Option<JobStatus> {
     let pairs = parse_object(line).ok()?;
-    let status = pairs.iter().find(|(k, _)| k == "status")?;
-    match &status.1 {
-        placer_jobs::json::Json::Str(s) => JobStatus::parse(s),
-        _ => None,
-    }
+    JobStatus::parse(field(&pairs, "status")?.as_str()?)
 }
 
 /// The `cache_hit_rate` field of a `stats` frame, as a percentage.
 fn stats_hit_rate(frame: &str) -> Option<f64> {
     let pairs = parse_object(frame).ok()?;
-    let rate = pairs.iter().find(|(k, _)| k == "cache_hit_rate")?;
-    match &rate.1 {
-        placer_jobs::json::Json::Num(v) => Some(100.0 * v),
-        _ => None,
-    }
+    Some(100.0 * field(&pairs, "cache_hit_rate")?.as_num()?)
 }
 
 fn fail(e: &ClientError) -> ExitCode {

@@ -10,7 +10,7 @@
 
 use analog_netlist::{testcases, Circuit};
 use eplace::{EPlaceA, PlacerConfig, SymmetryMode};
-use placer_bench::print_row;
+use placer_bench::{print_row, run_placer};
 
 fn averaged(circuit: &Circuit, mode: SymmetryMode) -> (f64, f64, f64) {
     let mut area = 0.0;
@@ -24,10 +24,10 @@ fn averaged(circuit: &Circuit, mode: SymmetryMode) -> (f64, f64, f64) {
         config.global.seed = seed;
         config.restarts = 1;
         config.preserve_gp = true;
-        if let Ok(result) = EPlaceA::new(config).place(circuit) {
+        if let Ok(result) = run_placer(&EPlaceA::new(config), circuit) {
             area += result.area;
             hpwl += result.hpwl;
-            seconds += result.gp_seconds + result.dp_seconds;
+            seconds += result.seconds;
             successes += 1.0;
         }
     }

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use placer_bench::print_row;
-use placer_bench::trace::{parse_flat_json, JsonValue};
+use placer_obs::json::{field, parse_object, Json};
 
 struct Options {
     old: String,
@@ -94,10 +94,10 @@ fn parse_trace(path: &str, text: &str) -> Result<TraceStats, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let kv = parse_flat_json(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let get = |key: &str| kv.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let get_num = |key: &str| get(key).and_then(JsonValue::as_num);
-        let get_str = |key: &str| get(key).and_then(JsonValue::as_str);
+        let kv = parse_object(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
+        let get = |key: &str| field(&kv, key);
+        let get_num = |key: &str| get(key).and_then(Json::as_num);
+        let get_str = |key: &str| get(key).and_then(Json::as_str);
         match get_str("type") {
             Some("span") => {
                 let name = get_str("name").unwrap_or_default().to_string();

@@ -17,8 +17,10 @@ pub mod cli;
 pub mod trace;
 
 use analog_netlist::{testcases, Circuit, Placement};
-use analog_perf::{graph_scale, DatasetOptions, Evaluator, GeneratedDataset};
-use eplace::{EPlaceA, EPlaceAP, PerfConfig, PlacerConfig};
+use analog_perf::{DatasetOptions, Evaluator, GeneratedDataset};
+use eplace::{
+    EPlaceA, EPlaceAP, PerfConfig, PlaceError, PlaceSolution, Placer, PlacerConfig, RunBudget,
+};
 use placer_gnn::{Network, TrainOptions};
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
@@ -34,6 +36,17 @@ pub struct RunMetrics {
     pub seconds: f64,
     /// The placement itself (for FOM evaluation).
     pub placement: Placement,
+}
+
+impl From<PlaceSolution> for RunMetrics {
+    fn from(s: PlaceSolution) -> Self {
+        RunMetrics {
+            area: s.area,
+            hpwl: s.hpwl,
+            seconds: s.stage1_seconds + s.stage2_seconds,
+            placement: s.placement,
+        }
+    }
 }
 
 /// The paper's ten testcases in Table III order.
@@ -124,21 +137,26 @@ pub fn sa_perf_config(circuit: &Circuit) -> SaConfig {
     }
 }
 
+/// Runs `placer` on `circuit` to completion (unlimited budget).
+///
+/// # Errors
+///
+/// Returns the placer's [`PlaceError`].
+pub fn run_placer(placer: &dyn Placer, circuit: &Circuit) -> Result<RunMetrics, PlaceError> {
+    let outcome = placer.place(circuit, &RunBudget::unlimited())?;
+    Ok(outcome
+        .into_solution()
+        .expect("an unlimited budget runs to completion")
+        .into())
+}
+
 /// Runs the SA baseline.
 ///
 /// # Panics
 ///
 /// Panics if the placer fails (the harness treats failures as fatal).
 pub fn run_sa(circuit: &Circuit) -> RunMetrics {
-    let result = SaPlacer::new(sa_config(circuit))
-        .place(circuit)
-        .expect("SA placement failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.anneal_seconds + result.repair_seconds,
-        placement: result.placement,
-    }
+    run_placer(&SaPlacer::new(sa_config(circuit)), circuit).expect("SA placement failed")
 }
 
 /// Runs the ISPD'19 baseline \[11\].
@@ -147,15 +165,7 @@ pub fn run_sa(circuit: &Circuit) -> RunMetrics {
 ///
 /// Panics if the placer fails.
 pub fn run_xu19(circuit: &Circuit) -> RunMetrics {
-    let result = Xu19Placer::default()
-        .place(circuit)
-        .expect("xu19 placement failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.gp_seconds + result.dp_seconds,
-        placement: result.placement,
-    }
+    run_placer(&Xu19Placer::default(), circuit).expect("xu19 placement failed")
 }
 
 /// Runs ePlace-A with the default configuration.
@@ -173,15 +183,7 @@ pub fn run_eplace_a(circuit: &Circuit) -> RunMetrics {
 ///
 /// Panics if the placer fails.
 pub fn run_eplace_a_with(circuit: &Circuit, config: PlacerConfig) -> RunMetrics {
-    let result = EPlaceA::new(config)
-        .place(circuit)
-        .expect("ePlace-A failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.gp_seconds + result.dp_seconds,
-        placement: result.placement,
-    }
+    run_placer(&EPlaceA::new(config), circuit).expect("ePlace-A failed")
 }
 
 /// A trained performance model plus its calibration, shared by the
@@ -227,7 +229,7 @@ pub fn train_model(circuit: &Circuit) -> PerfModel {
         restarts: 1,
         ..PlacerConfig::default()
     };
-    if let Ok(result) = EPlaceA::new(cfg).place(circuit) {
+    if let Ok(result) = run_placer(&EPlaceA::new(cfg), circuit) {
         for _ in 0..300 {
             let sigma = rng.gen_range(0.05..2.5);
             let mut p = result.placement.clone();
@@ -299,13 +301,7 @@ pub fn run_eplace_ap(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
         PerfConfig::new(PERF_ALPHA, model.dataset.scale),
         model.network.clone(),
     );
-    let result = placer.place(circuit).expect("ePlace-AP failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.gp_seconds + result.dp_seconds,
-        placement: result.placement,
-    }
+    run_placer(&placer, circuit).expect("ePlace-AP failed")
 }
 
 /// Runs the Perf* extension of \[11\].
@@ -314,15 +310,10 @@ pub fn run_eplace_ap(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
 ///
 /// Panics if the placer fails.
 pub fn run_xu19_perf(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
-    let result = Xu19Placer::default()
+    Xu19Placer::default()
         .place_perf(circuit, &model.network, PERF_ALPHA, model.dataset.scale)
-        .expect("xu19 perf placement failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.gp_seconds + result.dp_seconds,
-        placement: result.placement,
-    }
+        .expect("xu19 perf placement failed")
+        .into()
 }
 
 /// Runs performance-driven SA (\[19\]).
@@ -331,15 +322,11 @@ pub fn run_xu19_perf(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
 ///
 /// Panics if the placer fails.
 pub fn run_sa_perf(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
-    let result = SaPlacer::new(sa_perf_config(circuit))
+    SaPlacer::new(sa_perf_config(circuit))
         .place_perf(circuit, &model.network, PERF_SA_WEIGHT, model.dataset.scale)
-        .expect("SA perf placement failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.anneal_seconds + result.repair_seconds,
-        placement: result.placement,
-    }
+        .expect("SA perf placement failed")
+        .into_solution()
+        .into()
 }
 
 /// FOM of a run under the circuit's evaluator.
@@ -374,12 +361,6 @@ pub fn print_row(cells: &[String], widths: &[usize]) {
         .map(|(c, w)| format!("{c:>w$}", w = w))
         .collect();
     println!("{}", line.join("  "));
-}
-
-/// Convenience: the graph scale used in training for a circuit (re-exported
-/// for binaries that build graphs directly).
-pub fn model_scale(circuit: &Circuit) -> f64 {
-    graph_scale(circuit)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! flags, build profile), runs the placer, then drains the per-thread event
 //! rings and the counter/span/histogram snapshots into the file. The
 //! `trace_report` binary folds such a file back into a summary table using
-//! [`parse_flat_json`].
+//! [`placer_obs::json::parse_object`].
 //!
 //! Tracing requires the `telemetry` build feature; without it the binaries
 //! refuse `--trace` with a pointed rebuild hint instead of silently writing
@@ -16,8 +16,6 @@ use std::time::Instant;
 
 use placer_obs::progress::ProgressMode;
 use placer_telemetry::Field;
-
-pub use placer_obs::json::{parse_flat_json, JsonValue};
 
 /// Where traced bench runs write their JSONL files.
 pub const TRACE_DIR: &str = "results/traces";
@@ -195,18 +193,6 @@ mod tests {
         assert_eq!(trace_flag(&bare), Some(None));
         let named: Vec<String> = vec!["--trace=cc_ota".into()];
         assert_eq!(trace_flag(&named), Some(Some("cc_ota".into())));
-    }
-
-    // The parser lives in placer-obs now; this pins the re-export shape
-    // the trace tooling depends on (full coverage is in `placer_obs::json`).
-    #[test]
-    fn parses_event_line() {
-        let kv = parse_flat_json(r#"{"type":"event","kind":"gp_iter","t_us":42,"overflow":0.75}"#)
-            .unwrap();
-        assert_eq!(kv[0], ("type".into(), JsonValue::Str("event".into())));
-        assert_eq!(kv[1], ("kind".into(), JsonValue::Str("gp_iter".into())));
-        assert_eq!(kv[2].1.as_num(), Some(42.0));
-        assert_eq!(kv[3].1.as_num(), Some(0.75));
     }
 
     #[test]

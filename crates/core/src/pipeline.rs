@@ -1,15 +1,10 @@
 //! End-to-end placement pipelines: ePlace-A and ePlace-AP.
 //!
-//! Both pipelines expose two fronts:
-//!
-//! - the legacy inherent `place(&circuit)`, which runs to completion and
-//!   is kept bit-identical to its pre-budget behavior, and
-//! - the [`Placer`] trait (`place(&circuit, &RunBudget)` /
-//!   `resume(&circuit, &Checkpoint, &RunBudget)`), which adds deadlines,
-//!   cooperative cancellation and exact resume on top of the same engine.
-//!
-//! Both fronts share one engine per pipeline, so the unlimited-budget
-//! trait path and the legacy path execute the same instructions.
+//! Both pipelines are reached only through the [`Placer`] trait: one
+//! engine per pipeline runs against a [`CircuitArtifacts`] bundle under a
+//! [`RunBudget`], with deadlines, cooperative cancellation and exact
+//! resume. Cold callers go through [`Placer::place`], which builds the
+//! bundle first.
 
 use std::time::Instant;
 
@@ -20,54 +15,7 @@ use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::detailed::legalize;
 use crate::global::{GlobalPlacer, GpCheckpoint, GpRun};
 use crate::placer::{expect_placer, PlaceOutcome, PlaceSolution, Placer};
-use crate::{PerfConfig, PerfGradHook, PlaceError, PlacerConfig, RunBudget};
-
-/// The result of a full placement run.
-#[derive(Debug, Clone)]
-pub struct PlacementResult {
-    /// The final (legal) placement.
-    pub placement: Placement,
-    /// Exact HPWL (µm), flips included.
-    pub hpwl: f64,
-    /// Bounding-box area (µm²).
-    pub area: f64,
-    /// Global placement wall time (s).
-    pub gp_seconds: f64,
-    /// Detailed placement wall time (s).
-    pub dp_seconds: f64,
-    /// Global placement iterations.
-    pub gp_iterations: usize,
-}
-
-impl PlacementResult {
-    fn into_solution(self) -> PlaceSolution {
-        PlaceSolution {
-            placement: self.placement,
-            hpwl: self.hpwl,
-            area: self.area,
-            stage1_seconds: self.gp_seconds,
-            stage2_seconds: self.dp_seconds,
-            iterations: self.gp_iterations,
-        }
-    }
-}
-
-/// Internal outcome of a budgeted pipeline engine.
-enum EngineRun {
-    Done(PlacementResult),
-    Exhausted(PlacementResult),
-    Cancelled(Checkpoint),
-}
-
-impl EngineRun {
-    fn into_outcome(self) -> PlaceOutcome {
-        match self {
-            EngineRun::Done(r) => PlaceOutcome::Complete(r.into_solution()),
-            EngineRun::Exhausted(r) => PlaceOutcome::Exhausted(r.into_solution()),
-            EngineRun::Cancelled(ck) => PlaceOutcome::Cancelled(ck),
-        }
-    }
-}
+use crate::{CircuitArtifacts, PerfConfig, PerfGradHook, PlaceError, PlacerConfig, RunBudget};
 
 fn bad_checkpoint(message: String) -> PlaceError {
     PlaceError::BadCheckpoint(CheckpointError { line: 0, message })
@@ -111,23 +59,25 @@ fn get_placement(ck: &Checkpoint, prefix: &str, n: usize) -> Result<Placement, P
     })
 }
 
-fn put_result(ck: &mut Checkpoint, prefix: &str, r: &PlacementResult) {
+// The key names predate `PlaceSolution` and stay as they are, so
+// checkpoints on disk keep decoding.
+fn put_result(ck: &mut Checkpoint, prefix: &str, r: &PlaceSolution) {
     put_placement(ck, prefix, &r.placement);
     ck.put_f64(&format!("{prefix}hpwl"), r.hpwl);
     ck.put_f64(&format!("{prefix}area"), r.area);
-    ck.put_f64(&format!("{prefix}gp_seconds"), r.gp_seconds);
-    ck.put_f64(&format!("{prefix}dp_seconds"), r.dp_seconds);
-    ck.put_u64(&format!("{prefix}gp_iterations"), r.gp_iterations as u64);
+    ck.put_f64(&format!("{prefix}gp_seconds"), r.stage1_seconds);
+    ck.put_f64(&format!("{prefix}dp_seconds"), r.stage2_seconds);
+    ck.put_u64(&format!("{prefix}gp_iterations"), r.iterations as u64);
 }
 
-fn get_result(ck: &Checkpoint, prefix: &str, n: usize) -> Result<PlacementResult, PlaceError> {
-    Ok(PlacementResult {
+fn get_result(ck: &Checkpoint, prefix: &str, n: usize) -> Result<PlaceSolution, PlaceError> {
+    Ok(PlaceSolution {
         placement: get_placement(ck, prefix, n)?,
         hpwl: ck.get_f64(&format!("{prefix}hpwl"))?,
         area: ck.get_f64(&format!("{prefix}area"))?,
-        gp_seconds: ck.get_f64(&format!("{prefix}gp_seconds"))?,
-        dp_seconds: ck.get_f64(&format!("{prefix}dp_seconds"))?,
-        gp_iterations: ck.get_u64(&format!("{prefix}gp_iterations"))? as usize,
+        stage1_seconds: ck.get_f64(&format!("{prefix}gp_seconds"))?,
+        stage2_seconds: ck.get_f64(&format!("{prefix}dp_seconds"))?,
+        iterations: ck.get_u64(&format!("{prefix}gp_iterations"))? as usize,
     })
 }
 
@@ -194,7 +144,7 @@ fn get_gp(ck: &Checkpoint, n: usize) -> Result<GpCheckpoint, PlaceError> {
 /// as the (already near-legal) density overflow is under target.
 fn warm_gp_refine(
     config: &PlacerConfig,
-    artifacts: &crate::CircuitArtifacts,
+    artifacts: &CircuitArtifacts,
     warm: &Placement,
     eco: &crate::EcoConfig,
     hook: Option<&mut crate::global::ExtraGradientFn<'_>>,
@@ -291,17 +241,23 @@ fn probe_engine_checkpoint(
 
 /// The ePlace-A analog placer (conventional, performance-oblivious).
 ///
+/// Its engine runs global then detailed placement, keeping the best of
+/// `restarts` seeded attempts (by area·HPWL product); a single successful
+/// restart suffices, and the legalization ILP's [`PlaceError`] surfaces
+/// only when every restart fails.
+///
 /// # Examples
 ///
 /// ```
 /// use analog_netlist::testcases;
-/// use eplace::{EPlaceA, PlacerConfig};
+/// use eplace::{EPlaceA, Placer, PlacerConfig, RunBudget};
 ///
 /// # fn main() -> Result<(), eplace::PlaceError> {
 /// let circuit = testcases::adder();
 /// let placer = EPlaceA::new(PlacerConfig::default());
-/// let result = placer.place(&circuit)?;
-/// assert!(result.placement.is_legal(&circuit, 1e-6));
+/// let outcome = placer.place(&circuit, &RunBudget::unlimited())?;
+/// assert!(outcome.is_complete());
+/// assert!(outcome.solution().unwrap().placement.is_legal(&circuit, 1e-6));
 /// # Ok(())
 /// # }
 /// ```
@@ -321,31 +277,17 @@ impl EPlaceA {
         &self.config
     }
 
-    /// Runs global then detailed placement, keeping the best of
-    /// `restarts` seeded attempts (by area·HPWL product).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlaceError`] from the legalization ILP when every
-    /// restart fails; a single successful restart suffices.
-    pub fn place(&self, circuit: &Circuit) -> Result<PlacementResult, PlaceError> {
-        match self.run_engine(circuit, None, None, None)? {
-            EngineRun::Done(r) => Ok(r),
-            _ => unreachable!("no budget: engine can only complete"),
-        }
-    }
-
     fn run_engine(
         &self,
-        circuit: &Circuit,
-        budget: Option<&RunBudget>,
+        artifacts: &CircuitArtifacts,
+        budget: &RunBudget,
         resume: Option<&Checkpoint>,
-        artifacts: Option<&crate::CircuitArtifacts>,
-    ) -> Result<EngineRun, PlaceError> {
+    ) -> Result<PlaceOutcome, PlaceError> {
         static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("eplace_a_place");
         let _span = SPAN.enter();
+        let circuit = artifacts.circuit();
         let n = circuit.num_devices();
-        let mut best: Option<PlacementResult> = None;
+        let mut best: Option<PlaceSolution> = None;
         let mut last_err: Option<PlaceError> = None;
         let attempts = self.config.restarts.max(1);
         // Restarts vary both the seed and the GP region utilization — the
@@ -372,9 +314,9 @@ impl EPlaceA {
             let run = GlobalPlacer::new(global_cfg).run_budgeted_with(
                 circuit,
                 None,
-                budget,
+                Some(budget),
                 gp_ck.as_ref(),
-                artifacts,
+                Some(artifacts),
             );
             let gp_seconds = t0.elapsed().as_secs_f64();
             let (gp, stats, gp_exhausted) = match run {
@@ -390,7 +332,7 @@ impl EPlaceA {
                         None => out.put_u64("has_best", 0),
                     }
                     put_gp(&mut out, &gpck);
-                    return Ok(EngineRun::Cancelled(out));
+                    return Ok(PlaceOutcome::Cancelled(out));
                 }
                 GpRun::Complete(gp, stats) => (gp, stats, false),
                 GpRun::Exhausted(gp, stats) => (gp, stats, true),
@@ -402,7 +344,7 @@ impl EPlaceA {
                 // otherwise legalize the partial GP so the caller still
                 // gets a legal placement.
                 if let Some(b) = best {
-                    return Ok(EngineRun::Exhausted(b));
+                    return Ok(PlaceOutcome::Exhausted(b));
                 }
                 let t1 = Instant::now();
                 let dp_result = if self.config.preserve_gp {
@@ -412,13 +354,13 @@ impl EPlaceA {
                     legalize(circuit, &gp, &self.config.detailed)
                 };
                 let (placement, dstats) = dp_result?;
-                return Ok(EngineRun::Exhausted(PlacementResult {
+                return Ok(PlaceOutcome::Exhausted(PlaceSolution {
                     placement,
                     hpwl: dstats.hpwl,
                     area: dstats.area,
-                    gp_seconds,
-                    dp_seconds: t1.elapsed().as_secs_f64(),
-                    gp_iterations: stats.iterations,
+                    stage1_seconds: gp_seconds,
+                    stage2_seconds: t1.elapsed().as_secs_f64(),
+                    iterations: stats.iterations,
                 }));
             }
             let t1 = Instant::now();
@@ -430,20 +372,21 @@ impl EPlaceA {
             };
             match dp_result {
                 Ok((placement, dstats)) => {
-                    let candidate = PlacementResult {
+                    let candidate = PlaceSolution {
                         placement,
                         hpwl: dstats.hpwl,
                         area: dstats.area,
-                        gp_seconds: best.as_ref().map_or(0.0, |b| b.gp_seconds) + gp_seconds,
-                        dp_seconds: best.as_ref().map_or(0.0, |b| b.dp_seconds)
+                        stage1_seconds: best.as_ref().map_or(0.0, |b| b.stage1_seconds)
+                            + gp_seconds,
+                        stage2_seconds: best.as_ref().map_or(0.0, |b| b.stage2_seconds)
                             + t1.elapsed().as_secs_f64(),
-                        gp_iterations: stats.iterations,
+                        iterations: stats.iterations,
                     };
-                    let score = |r: &PlacementResult| r.area * r.hpwl;
+                    let score = |r: &PlaceSolution| r.area * r.hpwl;
                     best = match best {
-                        Some(prev) if score(&prev) <= score(&candidate) => Some(PlacementResult {
-                            gp_seconds: candidate.gp_seconds,
-                            dp_seconds: candidate.dp_seconds,
+                        Some(prev) if score(&prev) <= score(&candidate) => Some(PlaceSolution {
+                            stage1_seconds: candidate.stage1_seconds,
+                            stage2_seconds: candidate.stage2_seconds,
                             ..prev
                         }),
                         _ => Some(candidate),
@@ -453,7 +396,7 @@ impl EPlaceA {
             }
         }
         match best {
-            Some(result) => Ok(EngineRun::Done(result)),
+            Some(result) => Ok(PlaceOutcome::Complete(result)),
             None => Err(last_err.expect("at least one attempt ran")),
         }
     }
@@ -469,52 +412,26 @@ impl Placer for EPlaceA {
         "eplace-a"
     }
 
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(circuit, Some(budget), None, None)?
-            .into_outcome())
-    }
-
-    fn resume(
-        &self,
-        circuit: &Circuit,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(circuit, Some(budget), Some(checkpoint), None)?
-            .into_outcome())
-    }
-
     fn place_artifacts(
         &self,
-        artifacts: &crate::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(artifacts.circuit(), Some(budget), None, Some(artifacts))?
-            .into_outcome())
+        self.run_engine(artifacts, budget, None)
     }
 
     fn resume_artifacts(
         &self,
-        artifacts: &crate::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         checkpoint: &Checkpoint,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(
-                artifacts.circuit(),
-                Some(budget),
-                Some(checkpoint),
-                Some(artifacts),
-            )?
-            .into_outcome())
+        self.run_engine(artifacts, budget, Some(checkpoint))
     }
 
     fn eco_refine(
         &self,
-        artifacts: &crate::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         warm: &Placement,
         _dirty: &[bool],
         eco: &crate::EcoConfig,
@@ -534,6 +451,12 @@ impl Placer for EPlaceA {
 }
 
 /// The ePlace-AP performance-driven placer: ePlace-A plus the GNN term.
+///
+/// Its engine runs performance-driven global placement then the
+/// (identical) detailed placement of ePlace-A, keeping the best of
+/// `restarts` seeded attempts. The selection score multiplies area·HPWL by
+/// the model's predicted failure probability Φ of the final placement, so
+/// the restart machinery optimizes the same blend as the objective.
 #[derive(Debug, Clone)]
 pub struct EPlaceAP {
     config: PlacerConfig,
@@ -551,35 +474,18 @@ impl EPlaceAP {
         }
     }
 
-    /// Runs performance-driven global placement then the (identical)
-    /// detailed placement of ePlace-A, keeping the best of `restarts`
-    /// seeded attempts. The selection score multiplies area·HPWL by the
-    /// model's predicted failure probability Φ of the final placement, so
-    /// the restart machinery optimizes the same blend as the objective.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlaceError`] from the legalization ILP when every
-    /// restart fails.
-    pub fn place(&self, circuit: &Circuit) -> Result<PlacementResult, PlaceError> {
-        match self.run_engine(circuit, None, None, None)? {
-            EngineRun::Done(r) => Ok(r),
-            _ => unreachable!("no budget: engine can only complete"),
-        }
-    }
-
     fn run_engine(
         &self,
-        circuit: &Circuit,
-        budget: Option<&RunBudget>,
+        artifacts: &CircuitArtifacts,
+        budget: &RunBudget,
         resume: Option<&Checkpoint>,
-        artifacts: Option<&crate::CircuitArtifacts>,
-    ) -> Result<EngineRun, PlaceError> {
+    ) -> Result<PlaceOutcome, PlaceError> {
         static SPAN: placer_telemetry::SpanStat =
             placer_telemetry::SpanStat::new("eplace_ap_place");
         let _span = SPAN.enter();
+        let circuit = artifacts.circuit();
         let n = circuit.num_devices();
-        let mut best: Option<(f64, PlacementResult)> = None;
+        let mut best: Option<(f64, PlaceSolution)> = None;
         let mut last_err: Option<PlaceError> = None;
         let mut total_gp = 0.0;
         let mut total_dp = 0.0;
@@ -622,15 +528,12 @@ impl EPlaceAP {
             // attempt's first gradient call); a resumed attempt inherits
             // the interrupted attempt's normalization from the checkpoint
             // so its stream continues exactly.
-            let mut hook_state = match artifacts {
-                Some(a) => PerfGradHook::with_topology(
-                    &a.topology(),
-                    &self.network,
-                    perf_cfg.alpha,
-                    perf_cfg.scale,
-                ),
-                None => PerfGradHook::new(circuit, &self.network, perf_cfg.alpha, perf_cfg.scale),
-            };
+            let mut hook_state = PerfGradHook::with_topology(
+                &artifacts.topology(),
+                &self.network,
+                perf_cfg.alpha,
+                perf_cfg.scale,
+            );
             if let Some(alpha_abs) = alpha_resume.take() {
                 hook_state.set_alpha_abs(alpha_abs);
             }
@@ -640,9 +543,9 @@ impl EPlaceAP {
             let run = GlobalPlacer::new(global_cfg).run_budgeted_with(
                 circuit,
                 Some(&mut hook),
-                budget,
+                Some(budget),
                 gp_ck.as_ref(),
-                artifacts,
+                Some(artifacts),
             );
             total_gp += t0.elapsed().as_secs_f64();
             let (gp, stats, gp_exhausted) = match run {
@@ -664,28 +567,28 @@ impl EPlaceAP {
                         out.put_f64("ap_alpha_abs", alpha_abs);
                     }
                     put_gp(&mut out, &gpck);
-                    return Ok(EngineRun::Cancelled(out));
+                    return Ok(PlaceOutcome::Cancelled(out));
                 }
                 GpRun::Complete(gp, stats) => (gp, stats, false),
                 GpRun::Exhausted(gp, stats) => (gp, stats, true),
             };
             if gp_exhausted {
                 if let Some((_, mut b)) = best {
-                    b.gp_seconds = total_gp;
-                    b.dp_seconds = total_dp;
-                    return Ok(EngineRun::Exhausted(b));
+                    b.stage1_seconds = total_gp;
+                    b.stage2_seconds = total_dp;
+                    return Ok(PlaceOutcome::Exhausted(b));
                 }
                 let t1 = Instant::now();
                 let dp = crate::DetailedPlacer::new(self.config.detailed.clone());
                 let (placement, dstats) = dp.run_preserving(circuit, &gp)?;
                 total_dp += t1.elapsed().as_secs_f64();
-                return Ok(EngineRun::Exhausted(PlacementResult {
+                return Ok(PlaceOutcome::Exhausted(PlaceSolution {
                     placement,
                     hpwl: dstats.hpwl,
                     area: dstats.area,
-                    gp_seconds: total_gp,
-                    dp_seconds: total_dp,
-                    gp_iterations: stats.iterations,
+                    stage1_seconds: total_gp,
+                    stage2_seconds: total_dp,
+                    iterations: stats.iterations,
                 }));
             }
             let t1 = Instant::now();
@@ -701,31 +604,21 @@ impl EPlaceAP {
                             g.update_positions(&placement);
                             g
                         }
-                        None => {
-                            graph = Some(match artifacts {
-                                Some(a) => placer_gnn::CircuitGraph::from_topology(
-                                    &a.topology(),
-                                    &placement.positions,
-                                    self.perf.scale,
-                                ),
-                                None => placer_gnn::CircuitGraph::new(
-                                    circuit,
-                                    &placement,
-                                    self.perf.scale,
-                                ),
-                            });
-                            graph.as_mut().expect("just inserted")
-                        }
+                        None => graph.insert(placer_gnn::CircuitGraph::from_topology(
+                            &artifacts.topology(),
+                            &placement.positions,
+                            self.perf.scale,
+                        )),
                     };
                     let phi = self.network.predict_with(g, &mut scratch);
                     let score = dstats.area * dstats.hpwl * (0.3 + phi);
-                    let candidate = PlacementResult {
+                    let candidate = PlaceSolution {
                         placement,
                         hpwl: dstats.hpwl,
                         area: dstats.area,
-                        gp_seconds: total_gp,
-                        dp_seconds: total_dp,
-                        gp_iterations: stats.iterations,
+                        stage1_seconds: total_gp,
+                        stage2_seconds: total_dp,
+                        iterations: stats.iterations,
                     };
                     best = match best {
                         Some((best_score, prev)) if best_score <= score => Some((best_score, prev)),
@@ -740,9 +633,9 @@ impl EPlaceAP {
         }
         match best {
             Some((_, mut result)) => {
-                result.gp_seconds = total_gp;
-                result.dp_seconds = total_dp;
-                Ok(EngineRun::Done(result))
+                result.stage1_seconds = total_gp;
+                result.stage2_seconds = total_dp;
+                Ok(PlaceOutcome::Complete(result))
             }
             None => Err(last_err.expect("at least one attempt ran")),
         }
@@ -754,52 +647,26 @@ impl Placer for EPlaceAP {
         "eplace-ap"
     }
 
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(circuit, Some(budget), None, None)?
-            .into_outcome())
-    }
-
-    fn resume(
-        &self,
-        circuit: &Circuit,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(circuit, Some(budget), Some(checkpoint), None)?
-            .into_outcome())
-    }
-
     fn place_artifacts(
         &self,
-        artifacts: &crate::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(artifacts.circuit(), Some(budget), None, Some(artifacts))?
-            .into_outcome())
+        self.run_engine(artifacts, budget, None)
     }
 
     fn resume_artifacts(
         &self,
-        artifacts: &crate::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         checkpoint: &Checkpoint,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(
-                artifacts.circuit(),
-                Some(budget),
-                Some(checkpoint),
-                Some(artifacts),
-            )?
-            .into_outcome())
+        self.run_engine(artifacts, budget, Some(checkpoint))
     }
 
     fn eco_refine(
         &self,
-        artifacts: &crate::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         warm: &Placement,
         _dirty: &[bool],
         eco: &crate::EcoConfig,
@@ -832,12 +699,19 @@ mod tests {
     use super::*;
     use analog_netlist::testcases;
 
+    /// Runs `placer` to completion through the cold front door.
+    fn complete(placer: &dyn Placer, circuit: &Circuit) -> PlaceSolution {
+        placer
+            .place(circuit, &RunBudget::unlimited())
+            .unwrap()
+            .into_solution()
+            .expect("an unlimited budget completes")
+    }
+
     #[test]
     fn eplace_a_produces_legal_placements() {
         for circuit in [testcases::adder(), testcases::cc_ota()] {
-            let result = EPlaceA::new(PlacerConfig::default())
-                .place(&circuit)
-                .unwrap();
+            let result = complete(&EPlaceA::new(PlacerConfig::default()), &circuit);
             assert!(
                 result.placement.is_legal(&circuit, 1e-6),
                 "{} produced illegal placement",
@@ -853,7 +727,7 @@ mod tests {
         let circuit = testcases::adder();
         let network = Network::default_config(2);
         let placer = EPlaceAP::new(PlacerConfig::default(), PerfConfig::new(0.5, 20.0), network);
-        let result = placer.place(&circuit).unwrap();
+        let result = complete(&placer, &circuit);
         assert!(result.placement.is_legal(&circuit, 1e-6));
     }
 
@@ -866,22 +740,10 @@ mod tests {
     }
 
     #[test]
-    fn trait_place_with_unlimited_budget_matches_legacy() {
-        let circuit = testcases::adder();
-        let placer = EPlaceA::new(small_config());
-        let legacy = placer.place(&circuit).unwrap();
-        let outcome = Placer::place(&placer, &circuit, &RunBudget::unlimited()).unwrap();
-        let sol = outcome.solution().expect("unlimited budget completes");
-        assert!(outcome.is_complete());
-        assert_eq!(sol.placement, legacy.placement);
-        assert_eq!(sol.hpwl.to_bits(), legacy.hpwl.to_bits());
-    }
-
-    #[test]
     fn eplace_a_cancel_resume_is_bit_identical() {
         let circuit = testcases::adder();
         let placer = EPlaceA::new(small_config());
-        let legacy = placer.place(&circuit).unwrap();
+        let reference = complete(&placer, &circuit);
         // Cancel inside the second attempt's GP as well as the first's.
         for cancel_at in [3, 95] {
             let budget = RunBudget::unlimited();
@@ -896,10 +758,10 @@ mod tests {
             let sol = resumed.solution().expect("resume completes");
             assert!(resumed.is_complete());
             assert_eq!(
-                sol.placement, legacy.placement,
+                sol.placement, reference.placement,
                 "resume after cancel at check {cancel_at} diverged"
             );
-            assert_eq!(sol.hpwl.to_bits(), legacy.hpwl.to_bits());
+            assert_eq!(sol.hpwl.to_bits(), reference.hpwl.to_bits());
         }
     }
 
@@ -908,7 +770,7 @@ mod tests {
         let circuit = testcases::adder();
         let network = Network::default_config(2);
         let placer = EPlaceAP::new(small_config(), PerfConfig::new(0.5, 20.0), network);
-        let legacy = placer.place(&circuit).unwrap();
+        let reference = complete(&placer, &circuit);
         for cancel_at in [0, 11, 90] {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(cancel_at);
@@ -920,10 +782,10 @@ mod tests {
                 .unwrap();
             let sol = resumed.solution().expect("resume completes");
             assert_eq!(
-                sol.placement, legacy.placement,
+                sol.placement, reference.placement,
                 "resume after cancel at check {cancel_at} diverged"
             );
-            assert_eq!(sol.hpwl.to_bits(), legacy.hpwl.to_bits());
+            assert_eq!(sol.hpwl.to_bits(), reference.hpwl.to_bits());
         }
     }
 
@@ -948,8 +810,8 @@ mod tests {
     fn eco_replace_fast_path_is_legal_and_fallback_matches_cold() {
         let circuit = testcases::cc_ota();
         let placer = EPlaceA::new(small_config());
-        let artifacts = crate::CircuitArtifacts::build(circuit.clone());
-        let cold = placer.place(&circuit).unwrap();
+        let artifacts = CircuitArtifacts::build(circuit.clone());
+        let cold = complete(&placer, &circuit);
         let warm = crate::eco::warm_checkpoint(&circuit, &cold.placement);
         let delta = analog_netlist::NetlistDelta::parse("resize RB 18k\n").unwrap();
 
@@ -979,7 +841,7 @@ mod tests {
             .unwrap();
         assert!(!rep2.outcome.is_fast());
         let applied = delta.apply(&circuit).unwrap();
-        let cold_edit = placer.place(&applied.circuit).unwrap();
+        let cold_edit = complete(&placer, &applied.circuit);
         let fb = rep2.outcome.solution().unwrap();
         assert_eq!(fb.placement, cold_edit.placement);
         assert_eq!(fb.hpwl.to_bits(), cold_edit.hpwl.to_bits());

@@ -8,8 +8,7 @@
 //! [`PlaceOutcome`]:
 //!
 //! - [`Complete`](PlaceOutcome::Complete): the algorithm ran to its
-//!   natural convergence. With an unlimited budget this is bit-identical
-//!   to the pipeline's legacy entry point.
+//!   natural convergence.
 //! - [`Exhausted`](PlaceOutcome::Exhausted): the budget expired; the
 //!   solution is the best-so-far state, **legalized** — callers can always
 //!   tape it out, it is just potentially worse than a full run.
@@ -81,6 +80,14 @@ impl PlaceOutcome {
         }
     }
 
+    /// The solution by value, if the run produced one.
+    pub fn into_solution(self) -> Option<PlaceSolution> {
+        match self {
+            PlaceOutcome::Complete(s) | PlaceOutcome::Exhausted(s) => Some(s),
+            PlaceOutcome::Cancelled(_) => None,
+        }
+    }
+
     /// The checkpoint, if the run was cancelled.
     pub fn checkpoint(&self) -> Option<&Checkpoint> {
         match self {
@@ -117,17 +124,19 @@ impl PlaceOutcome {
 
 /// A budgeted, cancellable, resumable placement algorithm.
 ///
-/// Implementations must uphold three contracts:
+/// Implementations provide [`place_artifacts`](Self::place_artifacts) and
+/// [`resume_artifacts`](Self::resume_artifacts); the cold
+/// [`place`](Self::place) / [`resume`](Self::resume) build the circuit's
+/// [`CircuitArtifacts`] and delegate, so every caller runs the one engine.
+/// Cached ≡ cold therefore holds by construction, provided the engine's
+/// result does not depend on which lazily-built parts of the bundle an
+/// earlier run already filled in. Implementations must also uphold:
 ///
-/// 1. **Unlimited budget ≡ legacy run.** With
-///    [`RunBudget::unlimited`](crate::RunBudget::unlimited) and no
-///    cancellation, the returned solution is bit-identical to the
-///    pipeline's original entry point for the same config and seed.
-/// 2. **Exhausted is legal.** When the budget expires the placer
+/// 1. **Exhausted is legal.** When the budget expires the placer
 ///    legalizes its best-so-far state before returning, so the
 ///    placement in [`PlaceOutcome::Exhausted`] satisfies the same
 ///    legality invariants as a complete run.
-/// 3. **Resume is exact.** `place` until cancelled, then `resume` from
+/// 2. **Resume is exact.** `place` until cancelled, then `resume` from
 ///    the returned checkpoint (any number of times, at any boundary),
 ///    yields the same final placement — bit-for-bit — as a single
 ///    uninterrupted `place`.
@@ -136,42 +145,42 @@ pub trait Placer: Sync {
     /// stamped into checkpoints and job reports.
     fn name(&self) -> &'static str;
 
-    /// Runs placement under `budget`.
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError>;
-
-    /// Continues a cancelled run from `checkpoint` under a fresh budget.
-    fn resume(
-        &self,
-        circuit: &Circuit,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError>;
-
-    /// Runs placement against pre-built shared artifacts.
-    ///
-    /// Must be bit-identical to [`place`](Self::place) on
-    /// `artifacts.circuit()` — the artifacts carry exactly the state the
-    /// cold path would rebuild. The default implementation simply delegates
-    /// (correct, but amortizes nothing); implementations override it to
-    /// reuse the shared plans.
+    /// Runs placement under `budget` against pre-built shared artifacts.
     fn place_artifacts(
         &self,
         artifacts: &CircuitArtifacts,
         budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        self.place(artifacts.circuit(), budget)
-    }
+    ) -> Result<PlaceOutcome, PlaceError>;
 
-    /// Continues a cancelled run from `checkpoint` against pre-built shared
-    /// artifacts; same contract as [`place_artifacts`](Self::place_artifacts)
-    /// relative to [`resume`](Self::resume).
+    /// Continues a cancelled run from `checkpoint` under a fresh budget,
+    /// against pre-built shared artifacts.
     fn resume_artifacts(
         &self,
         artifacts: &CircuitArtifacts,
         checkpoint: &Checkpoint,
         budget: &RunBudget,
+    ) -> Result<PlaceOutcome, PlaceError>;
+
+    /// Runs placement under `budget`: builds `circuit`'s artifacts and
+    /// calls [`place_artifacts`](Self::place_artifacts).
+    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
+        self.place_artifacts(&CircuitArtifacts::build(circuit.clone()), budget)
+    }
+
+    /// Continues a cancelled run from `checkpoint` under a fresh budget:
+    /// builds `circuit`'s artifacts and calls
+    /// [`resume_artifacts`](Self::resume_artifacts).
+    fn resume(
+        &self,
+        circuit: &Circuit,
+        checkpoint: &Checkpoint,
+        budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        self.resume(artifacts.circuit(), checkpoint, budget)
+        self.resume_artifacts(
+            &CircuitArtifacts::build(circuit.clone()),
+            checkpoint,
+            budget,
+        )
     }
 
     /// Incrementally re-places after an ECO delta.

@@ -49,10 +49,9 @@ const AP_NETWORK_SEED: u64 = 2;
 
 /// Builds the placer a spec names.
 ///
-/// With `seed: None` every config keeps its `Default` values, so an
-/// unbudgeted job is bit-identical to the pipeline's legacy entry point;
-/// `Some(seed)` overrides only the seed. Returns the placer and the seed it
-/// will actually run with (used for retry rotation and the report).
+/// With `seed: None` every config keeps its `Default` values; `Some(seed)`
+/// overrides only the seed. Returns the placer and the seed it will
+/// actually run with (used for retry rotation and the report).
 ///
 /// # Errors
 ///
@@ -63,38 +62,12 @@ pub fn make_placer(
     profile: Profile,
     seed: Option<u64>,
 ) -> Result<(Box<dyn Placer>, u64), String> {
-    make_placer_with(name, profile, seed, None)
-}
-
-/// [`make_placer`] with a utilization override — the sweep engine's
-/// variant axis. `Some(u)` sets the density utilization target on the
-/// placers that have one (ePlace-A/AP, Xu19); SA packs exactly and has no
-/// utilization knob, so the override is a documented no-op there.
-///
-/// # Errors
-///
-/// Returns a message for unknown placer names or config validation
-/// failures (utilization outside `(0, 1]` included).
-pub fn make_placer_with(
-    name: &str,
-    profile: Profile,
-    seed: Option<u64>,
-    utilization: Option<f64>,
-) -> Result<(Box<dyn Placer>, u64), String> {
-    make_placer_variant(
-        name,
-        profile,
-        seed,
-        VariantOverrides {
-            utilization,
-            ..VariantOverrides::default()
-        },
-    )
+    make_placer_variant(name, profile, seed, VariantOverrides::default())
 }
 
 /// Per-variant config overrides the sweep engine layers on top of a
-/// profile. `None` means "keep the profile's value"; the zero-override
-/// default is bit-identical to [`make_placer`].
+/// profile. `None` means "keep the profile's value"; the default is what
+/// [`make_placer`] uses.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VariantOverrides {
     /// Density utilization target (analytical placers; SA ignores it).
@@ -128,8 +101,10 @@ impl VariantOverrides {
     }
 }
 
-/// [`make_placer_with`] extended with the full sweep-axis override set
-/// (utilization, aspect ratio, constraint relaxation).
+/// [`make_placer`] with the sweep engine's per-variant overrides
+/// (utilization, aspect ratio, constraint relaxation). `utilization` sets
+/// the density target on the placers that have one (ePlace-A/AP, Xu19);
+/// SA packs exactly and has no utilization knob, so it ignores it.
 ///
 /// # Errors
 ///
@@ -575,9 +550,12 @@ mod tests {
             .build()
             .unwrap();
         let circuit = testcases::adder();
-        let legacy = SaPlacer::new(cfg).place(&circuit).unwrap();
-        assert_eq!(report.hpwl.unwrap().to_bits(), legacy.hpwl.to_bits());
-        assert_eq!(report.area.unwrap().to_bits(), legacy.area.to_bits());
+        let outcome = SaPlacer::new(cfg)
+            .place(&circuit, &RunBudget::unlimited())
+            .unwrap();
+        let reference = outcome.solution().expect("an unlimited budget completes");
+        assert_eq!(report.hpwl.unwrap().to_bits(), reference.hpwl.to_bits());
+        assert_eq!(report.area.unwrap().to_bits(), reference.area.to_bits());
         assert_eq!(report.seed, 7, "default SA seed is reported");
     }
 
@@ -674,16 +652,16 @@ mod tests {
             fn name(&self) -> &'static str {
                 "failing"
             }
-            fn place(
+            fn place_artifacts(
                 &self,
-                _circuit: &Circuit,
+                _artifacts: &eplace::CircuitArtifacts,
                 _budget: &RunBudget,
             ) -> Result<PlaceOutcome, eplace::PlaceError> {
                 Err(eplace::PlaceError::RefinementExhausted)
             }
-            fn resume(
+            fn resume_artifacts(
                 &self,
-                _circuit: &Circuit,
+                _artifacts: &eplace::CircuitArtifacts,
                 _checkpoint: &Checkpoint,
                 _budget: &RunBudget,
             ) -> Result<PlaceOutcome, eplace::PlaceError> {
@@ -750,8 +728,8 @@ mod tests {
             report.wall_ms = 0.0;
             again.wall_ms = 0.0;
             assert_eq!(report.to_line(), again.to_line(), "{placer_name}");
-            // And both must match the cache-free legacy trait path bit
-            // for bit — artifacts change where bytes live, not results.
+            // And both must match the cold trait path (a fresh bundle)
+            // bit for bit — artifacts change where bytes live, not results.
             let (placer, seed) = make_placer(placer_name, spec.profile, None).unwrap();
             let circuit = testcases::testcase_by_name(circuit_name).unwrap();
             let outcome = placer.place(&circuit, &RunBudget::unlimited()).unwrap();

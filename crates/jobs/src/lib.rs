@@ -34,12 +34,13 @@
 #![forbid(unsafe_code)]
 
 mod engine;
-pub mod json;
 pub mod spec;
 
-pub use engine::{
-    make_placer, make_placer_variant, make_placer_with, JobEngine, PlacerFactory, VariantOverrides,
-};
+/// The flat-JSON codec, re-exported here because the end-to-end benchmark
+/// imports it as `placer_jobs::json`.
+pub use placer_obs::json;
+
+pub use engine::{make_placer, make_placer_variant, JobEngine, PlacerFactory, VariantOverrides};
 pub use spec::{
     check_protocol_version, normalize_timing, parse_jobs, spec_from_pairs, JobReport, JobSpec,
     JobStatus, Profile, SpecError, PROTOCOL_VERSION,

@@ -7,7 +7,7 @@
 //!
 //! * **Flat JSON** — one line with dotted keys (`counter.jobs_completed`,
 //!   `span.gp_run.total_ns`, `hist.job_deadline_slack_ms.b34`), parseable
-//!   by [`crate::json::parse_flat_json`] and embeddable verbatim in a run
+//!   by [`crate::json::parse_object`] and embeddable verbatim in a run
 //!   ledger record. [`MetricsSnapshot::from_flat_json`] round-trips it.
 //! * **Prometheus text exposition** — counters, per-span counters, and
 //!   cumulative-bucket histograms under a `placer_` prefix.
@@ -20,7 +20,7 @@
 
 use std::fmt::Write as FmtWrite;
 
-use crate::json::{self, push_escaped, push_f64, JsonValue};
+use crate::json::{self, push_escaped, push_f64, Json};
 use placer_telemetry::{histogram_bucket_bounds, HISTOGRAM_BUCKETS};
 
 /// One monotonic counter at snapshot time.
@@ -220,10 +220,10 @@ impl MetricsSnapshot {
     ///
     /// Returns a message for unparseable lines or malformed keys.
     pub fn from_flat_json(line: &str) -> Result<Self, String> {
-        let pairs = json::parse_flat_json(line)?;
+        let pairs = json::parse_object(line)?;
         let mut snap = MetricsSnapshot::default();
         for (key, value) in pairs {
-            let num = |v: &JsonValue| -> Result<u64, String> {
+            let num = |v: &Json| -> Result<u64, String> {
                 v.as_num()
                     .map(|f| f as u64)
                     .ok_or_else(|| format!("non-numeric value for {key:?}"))

@@ -145,6 +145,9 @@ mod imp {
     static INSTALLED: AtomicBool = AtomicBool::new(false);
     static SHUTDOWN: AtomicBool = AtomicBool::new(false);
     static DROPPED: AtomicU64 = AtomicU64::new(0);
+    /// Bumped by every install, so the per-thread rate limit starts afresh
+    /// under a new sink.
+    static SESSION: AtomicU64 = AtomicU64::new(0);
     static REPORTER: Mutex<Option<JoinHandle<()>>> = Mutex::new(None);
 
     #[derive(Clone, Copy)]
@@ -164,7 +167,8 @@ mod imp {
 
     thread_local! {
         static SCOPE: Cell<Scope> = const { Cell::new(NO_SCOPE) };
-        static LAST_PUSH_US: Cell<u64> = const { Cell::new(0) };
+        /// `(install session, time)` of this thread's last pushed event.
+        static LAST_PUSH: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     }
 
     /// RAII guard from [`job_scope`]; restores the previous scope (for
@@ -250,10 +254,11 @@ mod imp {
         if !INSTALLED.load(Ordering::Acquire) {
             return;
         }
-        // A stored 0 means "nothing pushed yet": the first event always
-        // streams, even right after the epoch is pinned.
-        let last = LAST_PUSH_US.with(|c| c.get());
-        if last != 0 && t_us.saturating_sub(last) < MIN_EVENT_INTERVAL_US {
+        // The first event a thread records under a freshly installed sink
+        // always streams, even right after the epoch is pinned.
+        let session = SESSION.load(Ordering::Relaxed);
+        let (seen, last) = LAST_PUSH.with(|c| c.get());
+        if seen == session && t_us.saturating_sub(last) < MIN_EVENT_INTERVAL_US {
             return;
         }
         let mut slot = EMPTY_SLOT;
@@ -283,7 +288,7 @@ mod imp {
             }
         }
         if push(&slot) {
-            LAST_PUSH_US.with(|c| c.set(t_us.max(1)));
+            LAST_PUSH.with(|c| c.set((session, t_us)));
         }
     }
 
@@ -536,7 +541,11 @@ mod imp {
     }
 
     fn install_inner(mode: ProgressMode, out: Output) -> io::Result<()> {
-        uninstall();
+        // One guard across stop-and-restart: an uninstall on another
+        // thread must not see this install re-arm `SHUTDOWN` while it
+        // joins the old reporter, or that join never returns.
+        let mut reporter_slot = REPORTER.lock().unwrap();
+        stop_reporter(&mut reporter_slot);
         {
             let mut ring = RING.lock().unwrap();
             ring.slots.clear();
@@ -544,11 +553,12 @@ mod imp {
             ring.len = 0;
         }
         DROPPED.store(0, Ordering::Relaxed);
+        SESSION.fetch_add(1, Ordering::Relaxed);
         SHUTDOWN.store(false, Ordering::Release);
         let handle = std::thread::Builder::new()
             .name("obs-progress".into())
             .spawn(move || reporter(mode, out))?;
-        *REPORTER.lock().unwrap() = Some(handle);
+        *reporter_slot = Some(handle);
         INSTALLED.store(true, Ordering::Release);
         placer_telemetry::install_observer(observe);
         Ok(())
@@ -593,12 +603,16 @@ mod imp {
     /// Unregisters the observer, drains outstanding events, and joins the
     /// reporter thread. Idempotent.
     pub fn uninstall() {
+        stop_reporter(&mut REPORTER.lock().unwrap());
+    }
+
+    fn stop_reporter(reporter: &mut Option<JoinHandle<()>>) {
         if !INSTALLED.swap(false, Ordering::AcqRel) {
             return;
         }
         placer_telemetry::uninstall_observer();
         SHUTDOWN.store(true, Ordering::Release);
-        if let Some(handle) = REPORTER.lock().unwrap().take() {
+        if let Some(handle) = reporter.take() {
             let _ = handle.join();
         }
     }
@@ -702,7 +716,7 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn end_to_end_stream_scope_and_rate_limit() {
-        use crate::json::{parse_flat_json, JsonValue};
+        use crate::json::{parse_object, Json};
 
         let path =
             std::env::temp_dir().join(format!("placer_obs_progress_{}.jsonl", std::process::id()));
@@ -735,11 +749,11 @@ mod tests {
         // job_start + one gp_iter + job_done.
         assert_eq!(lines.len(), 3, "got: {text}");
         for line in &lines {
-            let kv = parse_flat_json(line).unwrap();
-            assert_eq!(kv[0].1, JsonValue::Str("progress".into()));
+            let kv = parse_object(line).unwrap();
+            assert_eq!(kv[0].1, Json::Str("progress".into()));
         }
-        let get = |line: &str, k: &str| -> Option<JsonValue> {
-            parse_flat_json(line)
+        let get = |line: &str, k: &str| -> Option<Json> {
+            parse_object(line)
                 .unwrap()
                 .into_iter()
                 .find(|(key, _)| key == k)
@@ -810,10 +824,10 @@ mod tests {
         let done: Vec<&String> = seen.iter().filter(|l| l.contains("job_done")).collect();
         assert_eq!(done.len(), 2, "unfiltered subscriber sees both: {seen:?}");
         for line in &seen {
-            let kv = parse_flat_json(line).unwrap();
-            assert_eq!(kv[0].1, JsonValue::Str("progress".into()));
+            let kv = parse_object(line).unwrap();
+            assert_eq!(kv[0].1, Json::Str("progress".into()));
             assert_eq!(kv[1].0, "v", "frames are versioned: {line}");
-            assert_eq!(kv[1].1, JsonValue::Num(1.0));
+            assert_eq!(kv[1].1, Json::Num(1.0));
         }
         let filtered = only_c.drain();
         assert!(!filtered.is_empty(), "watched job streamed");

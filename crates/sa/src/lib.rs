@@ -15,13 +15,15 @@
 //!
 //! ```
 //! use analog_netlist::testcases;
+//! use eplace::{Placer, RunBudget};
 //! use placer_sa::{SaConfig, SaPlacer};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let circuit = testcases::adder();
 //! let config = SaConfig::builder().temperatures(15).moves_per_level(25).build()?;
-//! let result = SaPlacer::new(config).place(&circuit)?;
-//! println!("area {:.1} µm² after {} moves", result.area, result.moves);
+//! let outcome = SaPlacer::new(config).place(&circuit, &RunBudget::unlimited())?;
+//! let result = outcome.solution().expect("an unlimited budget completes");
+//! println!("area {:.1} µm² after {} moves", result.area, result.iterations);
 //! # Ok(())
 //! # }
 //! ```

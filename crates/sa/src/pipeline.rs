@@ -7,8 +7,8 @@ use std::time::Instant;
 
 use analog_netlist::{Circuit, Placement};
 use eplace::{
-    expect_placer, Checkpoint, CheckpointError, PlaceError, PlaceOutcome, PlaceSolution, Placer,
-    RunBudget,
+    expect_placer, Checkpoint, CheckpointError, CircuitArtifacts, PlaceError, PlaceOutcome,
+    PlaceSolution, Placer, RunBudget,
 };
 use placer_gnn::Network;
 
@@ -16,7 +16,6 @@ use crate::anneal::{
     anneal, anneal_budgeted_with, AnnealRun, ChainCheckpoint, ChainEntry, PerfCost, SaCheckpoint,
     SaConfig, SaCost, SaState,
 };
-use crate::island::BlockModel;
 use crate::repair::repair_placement;
 use crate::seqpair::SequencePair;
 use crate::shared::SaShared;
@@ -61,13 +60,14 @@ impl SaResult {
 ///
 /// ```
 /// use analog_netlist::testcases;
+/// use eplace::{Placer, RunBudget};
 /// use placer_sa::{SaConfig, SaPlacer};
 ///
 /// # fn main() -> Result<(), eplace::PlaceError> {
 /// let circuit = testcases::adder();
 /// let config = SaConfig { temperatures: 20, moves_per_temperature: 30, ..SaConfig::default() };
-/// let result = SaPlacer::new(config).place(&circuit)?;
-/// assert!(result.placement.is_legal(&circuit, 1e-6));
+/// let outcome = SaPlacer::new(config).place(&circuit, &RunBudget::unlimited())?;
+/// assert!(outcome.solution().unwrap().placement.is_legal(&circuit, 1e-6));
 /// # Ok(())
 /// # }
 /// ```
@@ -110,18 +110,6 @@ impl SaPlacer {
         })
     }
 
-    /// Runs the conventional (performance-oblivious) flow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the LP solver error from the repair pass.
-    pub fn place(&self, circuit: &Circuit) -> Result<SaResult, PlaceError> {
-        let t0 = Instant::now();
-        let annealed = anneal(circuit, &self.config, None);
-        let anneal_seconds = t0.elapsed().as_secs_f64();
-        self.finish(circuit, annealed, anneal_seconds)
-    }
-
     /// Runs the performance-driven flow: Φ inference inside the SA cost,
     /// as in the ICCAD'20 baseline \[19\].
     ///
@@ -151,13 +139,33 @@ impl SaPlacer {
 
     fn run_engine(
         &self,
-        circuit: &Circuit,
+        artifacts: &CircuitArtifacts,
         budget: &RunBudget,
-        resume: Option<&SaCheckpoint>,
-        shared: Option<&SaShared>,
+        resume: Option<&Checkpoint>,
     ) -> Result<PlaceOutcome, PlaceError> {
+        let circuit = artifacts.circuit();
+        let shared = artifacts.ext_or_build(SaShared::new);
+        let sack = match resume {
+            Some(ck) => {
+                expect_placer(ck, self.name())?;
+                Some(decode_checkpoint(
+                    ck,
+                    circuit,
+                    &self.config,
+                    shared.model.len(),
+                )?)
+            }
+            None => None,
+        };
         let t0 = Instant::now();
-        let run = anneal_budgeted_with(circuit, &self.config, None, budget, resume, shared);
+        let run = anneal_budgeted_with(
+            circuit,
+            &self.config,
+            None,
+            budget,
+            sack.as_ref(),
+            Some(&shared),
+        );
         let anneal_seconds = t0.elapsed().as_secs_f64();
         match run {
             AnnealRun::Complete(annealed) => {
@@ -183,40 +191,21 @@ impl Placer for SaPlacer {
         "sa"
     }
 
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
-        self.run_engine(circuit, budget, None, None)
-    }
-
-    fn resume(
-        &self,
-        circuit: &Circuit,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        expect_placer(checkpoint, self.name())?;
-        let sack = decode_checkpoint(checkpoint, circuit, &self.config, None)?;
-        self.run_engine(circuit, budget, Some(&sack), None)
-    }
-
     fn place_artifacts(
         &self,
-        artifacts: &eplace::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        let shared = artifacts.ext_or_build(SaShared::new);
-        self.run_engine(artifacts.circuit(), budget, None, Some(&shared))
+        self.run_engine(artifacts, budget, None)
     }
 
     fn resume_artifacts(
         &self,
-        artifacts: &eplace::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         checkpoint: &Checkpoint,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        expect_placer(checkpoint, self.name())?;
-        let shared = artifacts.ext_or_build(SaShared::new);
-        let sack = decode_checkpoint(checkpoint, artifacts.circuit(), &self.config, Some(&shared))?;
-        self.run_engine(artifacts.circuit(), budget, Some(&sack), Some(&shared))
+        self.run_engine(artifacts, budget, Some(checkpoint))
     }
 
     fn probe(&self, circuit: &Circuit, checkpoint: &Checkpoint) -> Option<eplace::RaceProbe> {
@@ -225,7 +214,7 @@ impl Placer for SaPlacer {
 
     fn eco_refine(
         &self,
-        artifacts: &eplace::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         warm: &Placement,
         dirty: &[bool],
         eco: &eplace::EcoConfig,
@@ -400,7 +389,7 @@ fn decode_checkpoint(
     ck: &Checkpoint,
     circuit: &Circuit,
     config: &SaConfig,
-    shared: Option<&SaShared>,
+    blocks: usize,
 ) -> Result<SaCheckpoint, PlaceError> {
     let n = circuit.num_devices();
     let stored_n = ck.get_u64("n")? as usize;
@@ -416,10 +405,6 @@ fn decode_checkpoint(
             config.chains.max(1)
         )));
     }
-    let blocks = match shared {
-        Some(s) => s.model.len(),
-        None => BlockModel::new(circuit).len(),
-    };
     let mut entries = Vec::with_capacity(chains);
     for i in 0..chains {
         let p = format!("c{i}_");
@@ -473,6 +458,15 @@ mod tests {
     use super::*;
     use analog_netlist::testcases;
 
+    /// Runs `placer` to completion through the cold front door.
+    fn complete(placer: &SaPlacer, circuit: &Circuit) -> PlaceSolution {
+        placer
+            .place(circuit, &RunBudget::unlimited())
+            .unwrap()
+            .into_solution()
+            .expect("an unlimited budget completes")
+    }
+
     fn quick() -> SaPlacer {
         SaPlacer::new(SaConfig {
             temperatures: 25,
@@ -484,7 +478,7 @@ mod tests {
     #[test]
     fn sa_pipeline_produces_legal_placement() {
         for circuit in [testcases::adder(), testcases::cc_ota()] {
-            let result = quick().place(&circuit).unwrap();
+            let result = complete(&quick(), &circuit);
             assert!(
                 result
                     .placement
@@ -516,31 +510,15 @@ mod tests {
             temperatures: 10,
             moves_per_temperature: 20,
             ..SaConfig::default()
-        })
-        .place(&circuit)
-        .unwrap();
+        });
         let long = SaPlacer::new(SaConfig {
             temperatures: 60,
             moves_per_temperature: 100,
             ..SaConfig::default()
-        })
-        .place(&circuit)
-        .unwrap();
-        let score = |r: &SaResult| r.area + r.hpwl;
+        });
+        let (short, long) = (complete(&short, &circuit), complete(&long, &circuit));
+        let score = |r: &PlaceSolution| r.area + r.hpwl;
         assert!(score(&long) < score(&short) * 1.25);
-    }
-
-    #[test]
-    fn trait_place_with_unlimited_budget_matches_legacy() {
-        let circuit = testcases::cc_ota();
-        let placer = quick();
-        let legacy = placer.place(&circuit).unwrap();
-        let outcome = Placer::place(&placer, &circuit, &RunBudget::unlimited()).unwrap();
-        let solution = outcome.solution().expect("complete");
-        assert!(outcome.is_complete());
-        assert_eq!(legacy.placement, solution.placement);
-        assert_eq!(legacy.hpwl.to_bits(), solution.hpwl.to_bits());
-        assert_eq!(legacy.moves, solution.iterations);
     }
 
     #[test]
@@ -611,8 +589,8 @@ mod tests {
     fn eco_replace_fast_path_is_legal() {
         let circuit = testcases::cc_ota();
         let placer = quick();
-        let cold = placer.place(&circuit).unwrap();
-        let artifacts = eplace::CircuitArtifacts::build(circuit.clone());
+        let cold = complete(&placer, &circuit);
+        let artifacts = CircuitArtifacts::build(circuit.clone());
         let warm = eplace::eco::warm_checkpoint(&circuit, &cold.placement);
         let delta = analog_netlist::NetlistDelta::parse("resize RB 18k\n").unwrap();
         let rep = placer

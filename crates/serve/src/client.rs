@@ -13,8 +13,8 @@ use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use placer_jobs::json::{parse_object, Json};
 use placer_jobs::JobSpec;
+use placer_obs::json::{field, parse_object, Json};
 
 use crate::protocol::{
     bare_frame, hello_frame, is_report_line, submit_frame, sweep_frame, write_frame, ErrorCode,
@@ -84,30 +84,11 @@ pub enum Reply {
     Bye,
 }
 
-fn field_str(pairs: &[(String, Json)], key: &str) -> Option<String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Json::Str(s) => Some(s.clone()),
-            _ => None,
-        })
-}
-
-fn field_usize(pairs: &[(String, Json)], key: &str) -> Option<usize> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Json::Num(n) if *n >= 0.0 => Some(*n as usize),
-            _ => None,
-        })
-}
-
 /// Pulls the `id` out of a verbatim report line (for re-ordering a
 /// concurrent batch back into submission order).
 pub fn report_id(line: &str) -> Option<String> {
-    field_str(&parse_object(line).ok()?, "id")
+    let pairs = parse_object(line).ok()?;
+    field(&pairs, "id")?.as_str().map(str::to_string)
 }
 
 fn classify(line: &str) -> Reply {
@@ -119,23 +100,29 @@ fn classify(line: &str) -> Reply {
     if is_report_line(&pairs) {
         return Reply::Report(line.to_string());
     }
-    match field_str(&pairs, "type").as_deref() {
-        Some("welcome") => Reply::Welcome(field_str(&pairs, "simd").unwrap_or_default()),
+    let text = |key| field(&pairs, key).and_then(Json::as_str);
+    let count = |key| {
+        field(&pairs, key)
+            .and_then(Json::as_num)
+            .map_or(0, |n| n as usize)
+    };
+    match text("type") {
+        Some("welcome") => Reply::Welcome(text("simd").unwrap_or_default().to_string()),
         Some("accepted") => Reply::Accepted {
-            id: field_str(&pairs, "id").unwrap_or_default(),
-            queued: field_usize(&pairs, "queued").unwrap_or(0),
+            id: text("id").unwrap_or_default().to_string(),
+            queued: count("queued"),
         },
         Some("progress") => Reply::Progress(line.to_string()),
         Some("done") => Reply::Done {
-            id: field_str(&pairs, "id").unwrap_or_default(),
-            reports: field_usize(&pairs, "reports").unwrap_or(0),
+            id: text("id").unwrap_or_default().to_string(),
+            reports: count("reports"),
         },
         Some("error") => {
-            let code = field_str(&pairs, "code")
-                .and_then(|c| ErrorCode::parse(&c))
+            let code = text("code")
+                .and_then(ErrorCode::parse)
                 .unwrap_or(ErrorCode::BadFrame);
-            let mut e = ProtocolError::new(code, field_str(&pairs, "message").unwrap_or_default());
-            e.id = field_str(&pairs, "id");
+            let mut e = ProtocolError::new(code, text("message").unwrap_or_default());
+            e.id = text("id").map(str::to_string);
             Reply::Error(e)
         }
         Some("stats") => Reply::Stats(line.to_string()),

@@ -39,4 +39,4 @@ pub mod server;
 pub use client::{report_id, Client, ClientError, Reply};
 pub use protocol::{ErrorCode, ProtocolError, Request, SweepRequest};
 pub use queue::{AdmissionQueue, AdmitError, Lease, QueueConfig, QueueStats};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_FRAME_BYTES};

@@ -2,7 +2,7 @@
 //!
 //! Everything on the socket is one flat JSON object per line, in both
 //! directions — the same JSONL dialect as job files, parsed by the same
-//! `placer_jobs::json` parser. Frames are discriminated by a `"type"`
+//! `placer_obs::json` parser. Frames are discriminated by a `"type"`
 //! key and versioned by the `"v"` field shared with
 //! [`placer_jobs::PROTOCOL_VERSION`]; unversioned frames are accepted as
 //! version 1 and future versions are answered with a structured
@@ -34,8 +34,8 @@
 
 use std::io::{self, Write};
 
-use placer_jobs::json::{escape, parse_object, Json};
 use placer_jobs::{check_protocol_version, spec_from_pairs, JobSpec, SpecError, PROTOCOL_VERSION};
+use placer_obs::json::{escape, field, parse_object, Json};
 
 /// Structured reason carried by an `error` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,26 +191,6 @@ pub enum Request {
     Bye,
 }
 
-fn field_str(pairs: &[(String, Json)], key: &str) -> Option<String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Json::Str(s) => Some(s.clone()),
-            _ => None,
-        })
-}
-
-fn field_bool(pairs: &[(String, Json)], key: &str) -> Option<bool> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        })
-}
-
 fn bad_frame(e: SpecError) -> ProtocolError {
     let code = if e.message.contains("unsupported protocol version") {
         ErrorCode::UnsupportedVersion
@@ -231,11 +211,17 @@ fn bad_frame(e: SpecError) -> ProtocolError {
 /// ([`ErrorCode::BadSpec`]).
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     let pairs = parse_object(line).map_err(|m| ProtocolError::new(ErrorCode::BadFrame, m))?;
-    if let Some((_, v)) = pairs.iter().find(|(k, _)| k == "v") {
+    let text = |key| {
+        field(&pairs, key)
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+    let flag = |key| field(&pairs, key).and_then(Json::as_bool).unwrap_or(false);
+    if let Some(v) = field(&pairs, "v") {
         check_protocol_version(0, v)
             .map_err(|e| ProtocolError::new(ErrorCode::UnsupportedVersion, e.message))?;
     }
-    let Some(kind) = field_str(&pairs, "type") else {
+    let Some(kind) = text("type") else {
         return Err(ProtocolError::new(
             ErrorCode::BadFrame,
             "missing `type` key",
@@ -243,8 +229,8 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     };
     match kind.as_str() {
         "hello" => Ok(Request::Hello {
-            tenant: field_str(&pairs, "tenant").unwrap_or_else(|| "anon".into()),
-            stream: field_bool(&pairs, "stream").unwrap_or(false),
+            tenant: text("tenant").unwrap_or_else(|| "anon".into()),
+            stream: flag("stream"),
         }),
         "submit" => {
             let spec_pairs: Vec<(String, Json)> =
@@ -253,11 +239,11 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             Ok(Request::Submit(Box::new(spec)))
         }
         "sweep" => {
-            let id = field_str(&pairs, "id").unwrap_or_else(|| "sweep".into());
-            let circuit = field_str(&pairs, "circuit").ok_or_else(|| {
+            let id = text("id").unwrap_or_else(|| "sweep".into());
+            let circuit = text("circuit").ok_or_else(|| {
                 ProtocolError::for_job(ErrorCode::BadSpec, &id, "sweep needs a `circuit`")
             })?;
-            let placers = field_str(&pairs, "placers")
+            let placers = text("placers")
                 .map(|s| {
                     s.split(',')
                         .map(|p| p.trim().to_string())
@@ -265,7 +251,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                         .collect()
                 })
                 .unwrap_or_default();
-            let seeds = match field_str(&pairs, "seeds") {
+            let seeds = match text("seeds") {
                 Some(s) => {
                     let mut seeds = Vec::new();
                     for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -287,7 +273,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 circuit,
                 placers,
                 seeds,
-                race: field_bool(&pairs, "race").unwrap_or(false),
+                race: flag("race"),
             }))
         }
         "stats" => Ok(Request::Stats),

@@ -31,8 +31,8 @@
 //! offline `jobs` binary.
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,6 +50,13 @@ use crate::protocol::{
     ProtocolError, Request, SweepRequest,
 };
 use crate::queue::{AdmissionQueue, AdmitError, Lease, QueueConfig, QueueStats};
+
+/// Longest request frame a connection may send, newline included. The
+/// largest frame the protocol defines is a few hundred bytes. A longer
+/// line gets one `bad_frame` error naming this limit and the connection
+/// closes, so a peer that never sends `\n` cannot grow its buffer
+/// without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Everything the daemon needs to start.
 #[derive(Debug, Clone)]
@@ -357,14 +364,23 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // the report (a write to the closed socket just fails), so the
     // handler has nothing to undo when the loop ends.
 
-    let mut line = String::new();
+    let mut frame = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // peer closed
+        frame.clear();
+        let limit = MAX_FRAME_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut frame) {
+            Ok(0) | Err(_) => break, // peer closed, or the socket failed
+            Ok(n) if n > MAX_FRAME_BYTES => {
+                let message = format!("frame exceeds the {MAX_FRAME_BYTES}-byte limit");
+                out.send_line(&ProtocolError::new(ErrorCode::BadFrame, message).to_line());
+                let _ = reader.get_ref().shutdown(Shutdown::Both);
+                break;
+            }
             Ok(_) => {}
-            Err(_) => break,
         }
+        let Ok(line) = std::str::from_utf8(&frame) else {
+            break; // not UTF-8: the peer is not speaking the protocol
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;

@@ -40,7 +40,12 @@
 //!   bucket 0 collects non-positive and non-finite samples.
 //! * `{"type":"manifest",...}` / `{"type":"phase",...}` — run metadata
 //!   written directly by the harness via [`manifest`] / [`emit_meta`].
+//!
+//! [`push_escaped`] / [`push_f64`] are the workspace's one JSON value
+//! writer: the sink here, `placer-obs` and the job protocol all format
+//! strings and numbers through them.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A typed value for [`manifest`] / [`emit_meta`] metadata lines.
@@ -75,6 +80,33 @@ pub fn histogram_bucket_bounds(i: usize) -> (f64, f64) {
     }
     let i = i.min(HISTOGRAM_BUCKETS - 1) as i32;
     (2f64.powi(i - 33), 2f64.powi(i - 32))
+}
+
+/// Appends `s` to `line` with JSON string escaping (no surrounding
+/// quotes).
+pub fn push_escaped(line: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => line.push_str("\\\""),
+            '\\' => line.push_str("\\\\"),
+            '\n' => line.push_str("\\n"),
+            '\r' => line.push_str("\\r"),
+            '\t' => line.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(line, "\\u{:04x}", c as u32);
+            }
+            c => line.push(c),
+        }
+    }
+}
+
+/// Appends `value` as a JSON number, or `null` when non-finite.
+pub fn push_f64(line: &mut String, value: f64) {
+    if value.is_finite() {
+        let _ = write!(line, "{value}");
+    } else {
+        line.push_str("null");
+    }
 }
 
 // u8::MAX marks "not yet initialised from PLACER_VERBOSE".

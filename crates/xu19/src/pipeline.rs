@@ -15,48 +15,20 @@ use crate::global::{
 };
 use crate::legalize::legalize_two_stage;
 
-/// Result of a baseline placement run.
-#[derive(Debug, Clone)]
-pub struct Xu19Result {
-    /// The final (legal) placement.
-    pub placement: Placement,
-    /// Exact HPWL (µm).
-    pub hpwl: f64,
-    /// Bounding-box area (µm²).
-    pub area: f64,
-    /// Global placement wall time (s).
-    pub gp_seconds: f64,
-    /// Legalization wall time (s).
-    pub dp_seconds: f64,
-}
-
-impl Xu19Result {
-    /// Converts into the unified [`PlaceSolution`] (global placement is
-    /// stage 1, LP legalization is stage 2).
-    pub fn into_solution(self, iterations: usize) -> PlaceSolution {
-        PlaceSolution {
-            placement: self.placement,
-            hpwl: self.hpwl,
-            area: self.area,
-            stage1_seconds: self.gp_seconds,
-            stage2_seconds: self.dp_seconds,
-            iterations,
-        }
-    }
-}
-
 /// The ISPD'19 analytical analog placer (our reimplementation of \[11\]).
 ///
 /// # Examples
 ///
 /// ```
 /// use analog_netlist::testcases;
+/// use eplace::{Placer, RunBudget};
 /// use placer_xu19::Xu19Placer;
 ///
 /// # fn main() -> Result<(), eplace::PlaceError> {
 /// let circuit = testcases::adder();
-/// let result = Xu19Placer::default().place(&circuit)?;
-/// assert!(result.placement.overlapping_pairs(&circuit, 1e-6).is_empty());
+/// let outcome = Xu19Placer::default().place(&circuit, &RunBudget::unlimited())?;
+/// let placement = &outcome.solution().unwrap().placement;
+/// assert!(placement.overlapping_pairs(&circuit, 1e-6).is_empty());
 /// # Ok(())
 /// # }
 /// ```
@@ -70,29 +42,6 @@ impl Xu19Placer {
     /// Creates a placer with the given global configuration.
     pub fn new(global: Xu19GlobalConfig) -> Self {
         Self { global }
-    }
-
-    /// Runs the conventional (performance-oblivious) flow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlaceError`] from the LP stages.
-    pub fn place(&self, circuit: &Circuit) -> Result<Xu19Result, PlaceError> {
-        static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("xu19_place");
-        let _span = SPAN.enter();
-        let t0 = Instant::now();
-        let (gp, _) = run_global_with_extra(circuit, &self.global, None);
-        let gp_seconds = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let (placement, stats) = legalize_two_stage(circuit, &gp)?;
-        let dp_seconds = t1.elapsed().as_secs_f64();
-        Ok(Xu19Result {
-            placement,
-            hpwl: stats.hpwl,
-            area: stats.area,
-            gp_seconds,
-            dp_seconds,
-        })
     }
 
     /// Runs only global placement (for Table IV's shared-GP comparison).
@@ -112,23 +61,13 @@ impl Xu19Placer {
         network: &Network,
         alpha: f64,
         scale: f64,
-    ) -> Result<Xu19Result, PlaceError> {
+    ) -> Result<PlaceSolution, PlaceError> {
         let t0 = Instant::now();
         // Same zero-allocation gradient hook state ePlace-AP uses.
         let mut state = eplace::PerfGradHook::new(circuit, network, alpha, scale);
         let mut hook = move |pts: &[(f64, f64)], grad: &mut [f64]| -> f64 { state.eval(pts, grad) };
-        let (gp, _) = run_global_with_extra(circuit, &self.global, Some(&mut hook));
-        let gp_seconds = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let (placement, stats) = legalize_two_stage(circuit, &gp)?;
-        let dp_seconds = t1.elapsed().as_secs_f64();
-        Ok(Xu19Result {
-            placement,
-            hpwl: stats.hpwl,
-            area: stats.area,
-            gp_seconds,
-            dp_seconds,
-        })
+        let (gp, stats) = run_global_with_extra(circuit, &self.global, Some(&mut hook));
+        self.legalize_outcome(circuit, gp, stats.iterations, t0.elapsed().as_secs_f64())
     }
 
     fn legalize_outcome(
@@ -140,25 +79,33 @@ impl Xu19Placer {
     ) -> Result<PlaceSolution, PlaceError> {
         let t1 = Instant::now();
         let (placement, stats) = legalize_two_stage(circuit, &gp)?;
-        let dp_seconds = t1.elapsed().as_secs_f64();
-        Ok(Xu19Result {
+        Ok(PlaceSolution {
             placement,
             hpwl: stats.hpwl,
             area: stats.area,
-            gp_seconds,
-            dp_seconds,
-        }
-        .into_solution(iterations))
+            stage1_seconds: gp_seconds,
+            stage2_seconds: t1.elapsed().as_secs_f64(),
+            iterations,
+        })
     }
 
     fn run_engine(
         &self,
         circuit: &Circuit,
         budget: &RunBudget,
-        resume: Option<&Xu19Checkpoint>,
+        resume: Option<&Checkpoint>,
     ) -> Result<PlaceOutcome, PlaceError> {
+        static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("xu19_place");
+        let _span = SPAN.enter();
+        let resume = match resume {
+            Some(ck) => {
+                expect_placer(ck, self.name())?;
+                Some(decode_checkpoint(ck, circuit, &self.global)?)
+            }
+            None => None,
+        };
         let t0 = Instant::now();
-        let run = run_global_budgeted(circuit, &self.global, None, Some(budget), resume);
+        let run = run_global_budgeted(circuit, &self.global, None, Some(budget), resume.as_ref());
         let gp_seconds = t0.elapsed().as_secs_f64();
         match run {
             Xu19Run::Complete(gp, stats) => Ok(PlaceOutcome::Complete(self.legalize_outcome(
@@ -185,25 +132,25 @@ impl Placer for Xu19Placer {
         "xu19"
     }
 
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
-        self.run_engine(circuit, budget, None)
+    // The Xu19 global pass derives only cheap per-run state (bell grids,
+    // LSE scratch) from the circuit, so the shared parsed circuit is the
+    // whole artifact win here.
+    fn place_artifacts(
+        &self,
+        artifacts: &eplace::CircuitArtifacts,
+        budget: &RunBudget,
+    ) -> Result<PlaceOutcome, PlaceError> {
+        self.run_engine(artifacts.circuit(), budget, None)
     }
 
-    fn resume(
+    fn resume_artifacts(
         &self,
-        circuit: &Circuit,
+        artifacts: &eplace::CircuitArtifacts,
         checkpoint: &Checkpoint,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        expect_placer(checkpoint, self.name())?;
-        let ck = decode_checkpoint(checkpoint, circuit, &self.global)?;
-        self.run_engine(circuit, budget, Some(&ck))
+        self.run_engine(artifacts.circuit(), budget, Some(checkpoint))
     }
-
-    // `place_artifacts`/`resume_artifacts` keep the trait defaults: the
-    // Xu19 global pass derives only cheap per-run state (bell grids, LSE
-    // scratch) from the circuit, so the shared parsed circuit is the whole
-    // artifact win here.
 
     fn eco_refine(
         &self,
@@ -318,10 +265,19 @@ mod tests {
     use analog_netlist::testcases;
     use placer_gnn::Network;
 
+    /// Runs the default placer to completion through the cold front door.
+    fn complete(c: &Circuit) -> PlaceSolution {
+        Xu19Placer::default()
+            .place(c, &RunBudget::unlimited())
+            .unwrap()
+            .into_solution()
+            .expect("an unlimited budget completes")
+    }
+
     #[test]
     fn baseline_pipeline_is_legal() {
         let c = testcases::cc_ota();
-        let r = Xu19Placer::default().place(&c).unwrap();
+        let r = complete(&c);
         assert!(r.placement.overlapping_pairs(&c, 1e-6).is_empty());
         assert!(r.placement.symmetry_violation(&c) < 1e-6);
         assert!(r.hpwl > 0.0 && r.area > 0.0);
@@ -335,19 +291,6 @@ mod tests {
             .place_perf(&c, &network, 0.5, 20.0)
             .unwrap();
         assert!(r.placement.overlapping_pairs(&c, 1e-6).is_empty());
-    }
-
-    #[test]
-    fn trait_place_with_unlimited_budget_matches_legacy() {
-        let c = testcases::cc_ota();
-        let placer = Xu19Placer::default();
-        let legacy = placer.place(&c).unwrap();
-        let outcome = Placer::place(&placer, &c, &RunBudget::unlimited()).unwrap();
-        assert!(outcome.is_complete());
-        let s = outcome.solution().unwrap();
-        assert_eq!(legacy.placement, s.placement);
-        assert_eq!(legacy.hpwl.to_bits(), s.hpwl.to_bits());
-        assert_eq!(legacy.area.to_bits(), s.area.to_bits());
     }
 
     #[test]
@@ -392,7 +335,7 @@ mod tests {
     fn eco_replace_fast_path_is_legal() {
         let c = testcases::cc_ota();
         let placer = Xu19Placer::default();
-        let cold = placer.place(&c).unwrap();
+        let cold = complete(&c);
         let artifacts = eplace::CircuitArtifacts::build(c.clone());
         let warm = eplace::eco::warm_checkpoint(&c, &cold.placement);
         let delta = analog_netlist::NetlistDelta::parse("resize RB 18k\n").unwrap();

@@ -8,7 +8,7 @@
 
 use analog_netlist::testcases;
 use analog_perf::{train_performance_model, DatasetOptions, Evaluator};
-use eplace::{EPlaceA, EPlaceAP, PerfConfig, PlacerConfig, SymmetryMode};
+use eplace::{EPlaceA, EPlaceAP, PerfConfig, Placer, PlacerConfig, RunBudget, SymmetryMode};
 use placer_gnn::TrainOptions;
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
@@ -17,11 +17,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = testcases::cm_ota1();
     println!("=== circuit: {} ===\n", circuit.name());
 
+    let complete = |placer: &dyn Placer| {
+        placer
+            .place(&circuit, &RunBudget::unlimited())
+            .map(|outcome| outcome.into_solution().expect("unlimited budget"))
+    };
+
     // Table I flavor: soft vs hard symmetry in global placement.
-    let soft = EPlaceA::new(PlacerConfig::default()).place(&circuit)?;
+    let soft = complete(&EPlaceA::new(PlacerConfig::default()))?;
     let mut hard_cfg = PlacerConfig::default();
     hard_cfg.global.symmetry = SymmetryMode::Hard;
-    let hard = EPlaceA::new(hard_cfg).place(&circuit)?;
+    let hard = complete(&EPlaceA::new(hard_cfg))?;
     println!(
         "[Table I]  soft symmetry: area {:.1}, HPWL {:.1}",
         soft.area, soft.hpwl
@@ -34,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 2 flavor: area-term ablation.
     let mut no_area_cfg = PlacerConfig::default();
     no_area_cfg.global.eta_scale = 0.0;
-    let no_area = EPlaceA::new(no_area_cfg).place(&circuit)?;
+    let no_area = complete(&EPlaceA::new(no_area_cfg))?;
     println!(
         "[Fig. 2]   without area term: area {:.1} ({:+.0}%), HPWL {:.1} ({:+.0}%)\n",
         no_area.area,
@@ -44,31 +50,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Table III flavor: the three methods.
-    let sa = SaPlacer::new(SaConfig {
+    let sa = complete(&SaPlacer::new(SaConfig {
         temperatures: 80,
         moves_per_temperature: 60 * circuit.num_devices(),
         ..SaConfig::default()
-    })
-    .place(&circuit)?;
-    let xu = Xu19Placer::default().place(&circuit)?;
-    println!(
-        "[Table III] SA:       area {:.1}, HPWL {:.1}, {:.2}s",
-        sa.area,
-        sa.hpwl,
-        sa.anneal_seconds + sa.repair_seconds
-    );
-    println!(
-        "[Table III] [11]:     area {:.1}, HPWL {:.1}, {:.2}s",
-        xu.area,
-        xu.hpwl,
-        xu.gp_seconds + xu.dp_seconds
-    );
-    println!(
-        "[Table III] ePlace-A: area {:.1}, HPWL {:.1}, {:.2}s\n",
-        soft.area,
-        soft.hpwl,
-        soft.gp_seconds + soft.dp_seconds
-    );
+    }))?;
+    let xu = complete(&Xu19Placer::default())?;
+    for (name, run) in [("SA:      ", &sa), ("[11]:    ", &xu), ("ePlace-A:", &soft)] {
+        println!(
+            "[Table III] {name} area {:.1}, HPWL {:.1}, {:.2}s",
+            run.area,
+            run.hpwl,
+            run.stage1_seconds + run.stage2_seconds
+        );
+    }
+    println!();
 
     // Table V/VI flavor: performance-driven placement.
     let evaluator = Evaluator::new(&circuit);
@@ -84,12 +80,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..TrainOptions::default()
         },
     );
-    let ap = EPlaceAP::new(
+    let ap = complete(&EPlaceAP::new(
         PlacerConfig::default(),
         PerfConfig::new(0.6, dataset.scale),
         network,
-    )
-    .place(&circuit)?;
+    ))?;
     println!(
         "[Table V]  FOM conventional {:.3} -> performance-driven {:.3}",
         evaluator.fom(&circuit, &soft.placement),

@@ -7,7 +7,7 @@
 //! ```
 
 use analog_netlist::parser::{parse_constraints, parse_spice};
-use eplace::{EPlaceA, PlacerConfig};
+use eplace::{EPlaceA, Placer, PlacerConfig, RunBudget};
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
 
@@ -52,40 +52,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.constraints().len()
     );
 
-    let eplace = EPlaceA::new(PlacerConfig::default()).place(&circuit)?;
-    println!(
-        "ePlace-A : area {:7.1} µm², HPWL {:6.1} µm, {:.2}s",
-        eplace.area,
-        eplace.hpwl,
-        eplace.gp_seconds + eplace.dp_seconds
-    );
-
-    let xu19 = Xu19Placer::default().place(&circuit)?;
-    println!(
-        "[11]     : area {:7.1} µm², HPWL {:6.1} µm, {:.2}s",
-        xu19.area,
-        xu19.hpwl,
-        xu19.gp_seconds + xu19.dp_seconds
-    );
-
     let sa = SaPlacer::new(SaConfig {
         temperatures: 80,
         moves_per_temperature: 400,
         ..SaConfig::default()
-    })
-    .place(&circuit)?;
-    println!(
-        "SA       : area {:7.1} µm², HPWL {:6.1} µm, {:.2}s",
-        sa.area,
-        sa.hpwl,
-        sa.anneal_seconds + sa.repair_seconds
-    );
-
-    for (name, p) in [
-        ("ePlace-A", &eplace.placement),
-        ("[11]", &xu19.placement),
-        ("SA", &sa.placement),
+    });
+    let mut placements = Vec::new();
+    for (name, placer) in [
+        (
+            "ePlace-A",
+            &EPlaceA::new(PlacerConfig::default()) as &dyn Placer,
+        ),
+        ("[11]", &Xu19Placer::default()),
+        ("SA", &sa),
     ] {
+        let run = placer
+            .place(&circuit, &RunBudget::unlimited())?
+            .into_solution()
+            .ok_or("an unlimited budget runs to completion")?;
+        println!(
+            "{name:<9}: area {:7.1} µm², HPWL {:6.1} µm, {:.2}s",
+            run.area,
+            run.hpwl,
+            run.stage1_seconds + run.stage2_seconds
+        );
+        placements.push((name, run.placement));
+    }
+
+    for (name, p) in &placements {
         assert!(
             p.is_legal(&circuit, 1e-6),
             "{name} produced an illegal placement"

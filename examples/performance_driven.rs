@@ -8,7 +8,7 @@
 
 use analog_netlist::testcases;
 use analog_perf::{train_performance_model, DatasetOptions, Evaluator};
-use eplace::{EPlaceA, EPlaceAP, PerfConfig, PlacerConfig};
+use eplace::{EPlaceA, EPlaceAP, PerfConfig, Placer, PlacerConfig, RunBudget};
 use placer_gnn::{TrainOptions, Trainer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dataset.threshold
     );
 
-    let conventional = EPlaceA::new(PlacerConfig::default()).place(&circuit)?;
+    let complete = |placer: &dyn Placer| {
+        placer
+            .place(&circuit, &RunBudget::unlimited())
+            .map(|outcome| outcome.into_solution().expect("unlimited budget"))
+    };
+    let conventional = complete(&EPlaceA::new(PlacerConfig::default()))?;
     let report_a = evaluator.evaluate(&circuit, &conventional.placement);
 
     let perf_placer = EPlaceAP::new(
@@ -37,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PerfConfig::new(0.6, dataset.scale),
         network,
     );
-    let performance_driven = perf_placer.place(&circuit)?;
+    let performance_driven = complete(&perf_placer)?;
     let report_ap = evaluator.evaluate(&circuit, &performance_driven.placement);
 
     println!("{:<20} {:>12} {:>12}", "metric", "ePlace-A", "ePlace-AP");

@@ -13,8 +13,8 @@
 use std::process::ExitCode;
 
 use analog_netlist::parser::{parse_constraints, parse_spice, write_placement};
-use analog_netlist::{svg, testcases, Circuit, Placement};
-use eplace::{EPlaceA, PlacerConfig};
+use analog_netlist::{svg, testcases, Circuit};
+use eplace::{EPlaceA, PlaceSolution, Placer, PlacerConfig, RunBudget};
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
 
@@ -77,38 +77,23 @@ fn load_circuit(args: &Args) -> Result<Circuit, String> {
     Ok(circuit)
 }
 
-fn place(circuit: &Circuit, engine: &str) -> Result<(Placement, f64, f64, f64), String> {
-    match engine {
-        "eplace" => {
-            let r = EPlaceA::new(PlacerConfig::default())
-                .place(circuit)
-                .map_err(|e| e.to_string())?;
-            Ok((r.placement, r.area, r.hpwl, r.gp_seconds + r.dp_seconds))
-        }
-        "xu19" => {
-            let r = Xu19Placer::default()
-                .place(circuit)
-                .map_err(|e| e.to_string())?;
-            Ok((r.placement, r.area, r.hpwl, r.gp_seconds + r.dp_seconds))
-        }
-        "sa" => {
-            let config = SaConfig {
-                temperatures: 200,
-                moves_per_temperature: 120 * circuit.num_devices(),
-                ..SaConfig::default()
-            };
-            let r = SaPlacer::new(config)
-                .place(circuit)
-                .map_err(|e| e.to_string())?;
-            Ok((
-                r.placement,
-                r.area,
-                r.hpwl,
-                r.anneal_seconds + r.repair_seconds,
-            ))
-        }
-        other => Err(format!("unknown engine `{other}` (eplace|xu19|sa)")),
-    }
+fn place(circuit: &Circuit, engine: &str) -> Result<PlaceSolution, String> {
+    let placer: Box<dyn Placer> = match engine {
+        "eplace" => Box::new(EPlaceA::new(PlacerConfig::default())),
+        "xu19" => Box::new(Xu19Placer::default()),
+        "sa" => Box::new(SaPlacer::new(SaConfig {
+            temperatures: 200,
+            moves_per_temperature: 120 * circuit.num_devices(),
+            ..SaConfig::default()
+        })),
+        other => return Err(format!("unknown engine `{other}` (eplace|xu19|sa)")),
+    };
+    let outcome = placer
+        .place(circuit, &RunBudget::unlimited())
+        .map_err(|e| e.to_string())?;
+    Ok(outcome
+        .into_solution()
+        .expect("an unlimited budget runs to completion"))
 }
 
 fn main() -> ExitCode {
@@ -134,13 +119,21 @@ fn main() -> ExitCode {
         circuit.constraints().len(),
         args.engine,
     );
-    let (placement, area, hpwl, seconds) = match place(&circuit, &args.engine) {
+    let PlaceSolution {
+        placement,
+        area,
+        hpwl,
+        stage1_seconds,
+        stage2_seconds,
+        ..
+    } = match place(&circuit, &args.engine) {
         Ok(r) => r,
         Err(msg) => {
             eprintln!("placement failed: {msg}");
             return ExitCode::FAILURE;
         }
     };
+    let seconds = stage1_seconds + stage2_seconds;
     println!("area {area:.1} µm², HPWL {hpwl:.1} µm, {seconds:.2}s");
     println!("legal: {}", placement.is_legal(&circuit, 1e-6));
     if let Some(path) = &args.out {

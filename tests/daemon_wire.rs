@@ -1,14 +1,18 @@
 //! The daemon's wire contracts on a live loopback socket: a request
 //! round trip costs no fixed stall, served reports equal the batch
-//! engine's, and shutdown needs no timer to leave its blocking accept
-//! but still logs a client's `shutdown` before the daemon stops.
+//! engine's, an oversized frame is rejected without ending the service,
+//! and shutdown needs no timer to leave its blocking accept but still
+//! logs a client's `shutdown` before the daemon stops.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use placer_jobs::{normalize_timing, JobEngine, JobSpec, Profile};
-use placer_serve::{Client, Server, ServerConfig};
+use placer_obs::json::{field, parse_object, Json};
+use placer_serve::{Client, Server, ServerConfig, MAX_FRAME_BYTES};
 
 fn spool_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("daemon-wire-{}-{tag}", std::process::id()))
@@ -85,6 +89,37 @@ fn served_reports_equal_the_batch_engine() {
             spec.id
         );
     }
+    client.close().expect("clean close");
+    shut_down_within_a_second(server);
+}
+
+/// A peer that never sends `\n` gets one `bad_frame` error once its line
+/// passes the limit, then EOF; other clients are still served.
+#[test]
+fn oversized_frames_get_one_error_then_eof() {
+    let server = start_server("oversized", "127.0.0.1:0");
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    // An unbounded reader waits for a newline forever; the timeout turns
+    // that into a failure instead of a hung suite.
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    raw.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+        .expect("oversized line sent");
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply)
+        .expect("an error frame, then EOF");
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "expected exactly one frame: {reply:?}");
+    let frame = parse_object(lines[0]).expect("a flat JSON frame");
+    assert_eq!(field(&frame, "code"), Some(&Json::Str("bad_frame".into())));
+    let message = field(&frame, "message").and_then(Json::as_str);
+    assert!(
+        message.is_some_and(|m| m.contains(&MAX_FRAME_BYTES.to_string())),
+        "the error names the limit: {reply}"
+    );
+
+    let mut client = Client::connect(server.addr(), "wire", false).expect("connect");
+    client.stats().expect("stats frame");
     client.close().expect("clean close");
     shut_down_within_a_second(server);
 }

@@ -1,10 +1,18 @@
 //! Cross-crate integration tests: every placer produces legal placements
 //! on the paper's testcases.
 
-use analog_netlist::testcases;
-use eplace::{EPlaceA, PlacerConfig};
+use analog_netlist::{testcases, Circuit};
+use eplace::{EPlaceA, PlaceSolution, Placer, PlacerConfig, RunBudget};
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
+
+fn complete(placer: &dyn Placer, circuit: &Circuit) -> PlaceSolution {
+    placer
+        .place(circuit, &RunBudget::unlimited())
+        .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()))
+        .into_solution()
+        .expect("an unlimited budget runs to completion")
+}
 
 fn quick_sa() -> SaPlacer {
     SaPlacer::new(SaConfig {
@@ -17,9 +25,7 @@ fn quick_sa() -> SaPlacer {
 #[test]
 fn eplace_a_is_legal_on_every_testcase() {
     for circuit in testcases::all_testcases() {
-        let result = EPlaceA::new(PlacerConfig::default())
-            .place(&circuit)
-            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+        let result = complete(&EPlaceA::new(PlacerConfig::default()), &circuit);
         assert!(
             result
                 .placement
@@ -49,9 +55,7 @@ fn eplace_a_is_legal_on_every_testcase() {
 #[test]
 fn xu19_is_legal_on_every_testcase() {
     for circuit in testcases::all_testcases() {
-        let result = Xu19Placer::default()
-            .place(&circuit)
-            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+        let result = complete(&Xu19Placer::default(), &circuit);
         assert!(
             result.placement.is_legal(&circuit, 1e-6),
             "{}: illegal placement",
@@ -63,9 +67,7 @@ fn xu19_is_legal_on_every_testcase() {
 #[test]
 fn sa_is_legal_on_every_testcase() {
     for circuit in testcases::all_testcases() {
-        let result = quick_sa()
-            .place(&circuit)
-            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+        let result = complete(&quick_sa(), &circuit);
         assert!(
             result.placement.is_legal(&circuit, 1e-6),
             "{}: illegal placement",
@@ -77,9 +79,7 @@ fn sa_is_legal_on_every_testcase() {
 #[test]
 fn results_are_reported_consistently() {
     let circuit = testcases::cc_ota();
-    let result = EPlaceA::new(PlacerConfig::default())
-        .place(&circuit)
-        .expect("placement failed");
+    let result = complete(&EPlaceA::new(PlacerConfig::default()), &circuit);
     // Reported metrics must match recomputation from the placement.
     assert!((result.hpwl - result.placement.hpwl(&circuit)).abs() < 1e-6);
     assert!((result.area - result.placement.area(&circuit)).abs() < 1e-6);

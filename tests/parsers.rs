@@ -3,7 +3,7 @@
 
 use analog_netlist::parser::{parse_constraints, parse_spice, write_constraints, write_spice};
 use analog_netlist::testcases;
-use eplace::{EPlaceA, PlacerConfig};
+use eplace::{EPlaceA, Placer, PlacerConfig, RunBudget};
 
 #[test]
 fn every_testcase_survives_file_roundtrip() {
@@ -53,7 +53,9 @@ fn parsed_circuit_is_placeable() {
     let mut parsed = parse_spice(&netlist).expect("netlist parses");
     parse_constraints(&mut parsed, &constraints).expect("constraints parse");
     let result = EPlaceA::new(PlacerConfig::default())
-        .place(&parsed)
-        .expect("placement of parsed circuit failed");
+        .place(&parsed, &RunBudget::unlimited())
+        .expect("placement of parsed circuit failed")
+        .into_solution()
+        .expect("an unlimited budget runs to completion");
     assert!(result.placement.is_legal(&parsed, 1e-6));
 }

@@ -3,7 +3,7 @@
 
 use analog_netlist::testcases;
 use analog_perf::{generate_dataset, train_performance_model, DatasetOptions, Evaluator};
-use eplace::{EPlaceA, EPlaceAP, PerfConfig, PlacerConfig};
+use eplace::{EPlaceA, EPlaceAP, PerfConfig, Placer, PlacerConfig, RunBudget};
 use placer_gnn::{TrainOptions, Trainer};
 
 fn fast_dataset() -> DatasetOptions {
@@ -40,16 +40,19 @@ fn eplace_ap_fom_not_worse_than_eplace_a() {
     let (network, dataset) =
         train_performance_model(&circuit, &evaluator, &fast_dataset(), &fast_training());
 
-    let conventional = EPlaceA::new(PlacerConfig::default())
-        .place(&circuit)
-        .expect("ePlace-A failed");
-    let perf = EPlaceAP::new(
+    let complete = |placer: &dyn Placer| {
+        placer
+            .place(&circuit, &RunBudget::unlimited())
+            .unwrap_or_else(|e| panic!("{}: {e}", placer.name()))
+            .into_solution()
+            .expect("an unlimited budget runs to completion")
+    };
+    let conventional = complete(&EPlaceA::new(PlacerConfig::default()));
+    let perf = complete(&EPlaceAP::new(
         PlacerConfig::default(),
         PerfConfig::new(0.6, dataset.scale),
         network,
-    )
-    .place(&circuit)
-    .expect("ePlace-AP failed");
+    ));
 
     let fom_a = evaluator.fom(&circuit, &conventional.placement);
     let fom_ap = evaluator.fom(&circuit, &perf.placement);

@@ -3,7 +3,7 @@
 //! placers produce.
 
 use analog_netlist::testcases;
-use eplace::{EPlaceA, PlacerConfig, SeparationPlanner};
+use eplace::{EPlaceA, Placer, PlacerConfig, RunBudget, SeparationPlanner};
 
 #[test]
 fn final_placements_satisfy_their_own_plans() {
@@ -13,8 +13,10 @@ fn final_placements_satisfy_their_own_plans() {
     // bookkeeping (left/right mix-ups would fail immediately).
     for circuit in [testcases::adder(), testcases::cc_ota(), testcases::comp1()] {
         let result = EPlaceA::new(PlacerConfig::default())
-            .place(&circuit)
-            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+            .place(&circuit, &RunBudget::unlimited())
+            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()))
+            .into_solution()
+            .expect("an unlimited budget runs to completion");
         let mut planner = SeparationPlanner::new(&circuit);
         planner.extend_all_pairs(&circuit, &result.placement);
         for &(a, b) in planner.x_edges() {
