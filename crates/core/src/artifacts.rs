@@ -23,10 +23,10 @@
 //!   their own shared per-circuit state.
 //!
 //! [`ArtifactCache`] maps circuits to their artifacts. The authoritative
-//! key is a 64-bit FNV-1a hash of the circuit's canonical text form
-//! ([`circuit_content_hash`]): two circuits with the same devices, nets and
-//! constraints share artifacts no matter how they were obtained, and any
-//! netlist edit changes the key. Raw-text and testcase-name memos sit in
+//! key is a 64-bit FNV-1a hash of the circuit's canonical text form and
+//! geometry ([`circuit_content_hash`]): two circuits with the same devices,
+//! footprints, pin offsets, nets and constraints share artifacts no matter
+//! how they were obtained, and any netlist edit changes the key. Raw-text and testcase-name memos sit in
 //! front of the content hash so repeated lookups skip re-parsing and
 //! re-serialization entirely.
 //!
@@ -70,19 +70,32 @@ fn text_hash(spice: &str, constraints: Option<&str>) -> u64 {
     fnv1a(h, constraints.unwrap_or("").as_bytes())
 }
 
-/// Content hash of a circuit: 64-bit FNV-1a over its canonical SPICE deck
-/// and constraint text.
+/// Content hash of a circuit: 64-bit FNV-1a over its canonical SPICE deck,
+/// its constraint text and its geometry.
 ///
 /// The canonical writers ([`parser::write_spice`] /
 /// [`parser::write_constraints`]) normalize away incidental formatting, so
 /// the hash identifies the circuit's devices, nets, electrical parameters
 /// and constraints — any edit to one of those changes the hash, while two
 /// differently-formatted decks of the same circuit collide on purpose.
+/// The deck carries no footprints or pin offsets (a parsed deck derives
+/// them from the electrical parameters), so every device's width, height
+/// and pin offsets are hashed as well, by bit pattern: circuits that would
+/// be placed with different geometry never share a bundle.
 pub fn circuit_content_hash(circuit: &Circuit) -> u64 {
     let h = fnv1a(FNV_OFFSET, parser::write_spice(circuit).as_bytes());
-    // Separator byte keeps (deck, constraints) framings unambiguous.
+    // Separator bytes keep the (deck, constraints, geometry) framings
+    // unambiguous.
     let h = fnv1a(h, &[0x1f]);
-    fnv1a(h, parser::write_constraints(circuit).as_bytes())
+    let mut h = fnv1a(h, parser::write_constraints(circuit).as_bytes());
+    for device in circuit.devices() {
+        h = fnv1a(h, &[0x1e]);
+        let pins = device.pins.iter().flat_map(|p| [p.offset.0, p.offset.1]);
+        for v in [device.width, device.height].into_iter().chain(pins) {
+            h = fnv1a(h, &v.to_bits().to_le_bytes());
+        }
+    }
+    h
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -456,21 +469,62 @@ mod tests {
     #[test]
     fn netlist_edit_changes_the_hash() {
         let circuit = testcases::cc_ota();
-        let before = circuit_content_hash(&circuit);
-        // Round-trip through text with one device's width edited. The
-        // constraints ride along unchanged so only the edit moves the hash.
         let deck = parser::write_spice(&circuit);
+        let cons = parser::write_constraints(&circuit);
+        let parse = |text: &str| {
+            let mut c = parser::parse_spice(text).unwrap();
+            parser::parse_constraints(&mut c, &cons).unwrap();
+            c
+        };
+        let before = circuit_content_hash(&parse(&deck));
+        // Re-parsing the same deck keeps the hash.
+        assert_eq!(before, circuit_content_hash(&parse(&deck)));
+        // One device's width edited in the text moves it. The constraints
+        // ride along unchanged so only the edit moves the hash.
         let edited_deck = deck.replace("W=4.0000", "W=4.1000");
         assert_ne!(deck, edited_deck, "edit must hit the canonical deck");
-        let cons = parser::write_constraints(&circuit);
-        let mut edited = parser::parse_spice(&edited_deck).unwrap();
-        parser::parse_constraints(&mut edited, &cons).unwrap();
-        assert_ne!(before, circuit_content_hash(&edited));
+        assert_ne!(before, circuit_content_hash(&parse(&edited_deck)));
+    }
 
-        // An identity round-trip keeps the hash.
-        let mut same = parser::parse_spice(&deck).unwrap();
-        parser::parse_constraints(&mut same, &cons).unwrap();
-        assert_eq!(before, circuit_content_hash(&same));
+    #[test]
+    fn geometry_the_deck_drops_still_changes_the_hash() {
+        // `write_spice` keeps no footprints or pin offsets, so parsing the
+        // deck back gives the testcase's devices new geometry. The two
+        // circuits must not share a bundle.
+        let circuit = testcases::adder();
+        let deck = parser::write_spice(&circuit);
+        let cons = parser::write_constraints(&circuit);
+        let mut parsed = parser::parse_spice(&deck).unwrap();
+        parser::parse_constraints(&mut parsed, &cons).unwrap();
+        let moved = circuit
+            .devices()
+            .iter()
+            .zip(parsed.devices())
+            .filter(|(a, b)| {
+                a.width != b.width
+                    || a.height != b.height
+                    || a.pins
+                        .iter()
+                        .zip(&b.pins)
+                        .any(|(p, q)| p.offset != q.offset)
+            })
+            .count();
+        assert!(moved > 0, "the round trip must change some geometry");
+        assert_eq!(parser::write_spice(&parsed), deck, "same canonical deck");
+        assert_ne!(
+            circuit_content_hash(&circuit),
+            circuit_content_hash(&parsed)
+        );
+
+        let cache = ArtifactCache::new();
+        let testcase = cache.get_or_build(&circuit);
+        let from_text = cache.get_or_parse(&deck, Some(&cons)).unwrap();
+        assert!(!Arc::ptr_eq(&testcase, &from_text), "fresh bundle expected");
+        assert_eq!(
+            from_text.circuit().devices()[0].width,
+            parsed.devices()[0].width
+        );
+        assert_eq!(cache.misses(), 2);
     }
 
     #[test]
@@ -493,7 +547,9 @@ mod tests {
         let a = cache.get_or_parse(&deck, Some(&cons)).unwrap();
         let b = cache.get_or_parse(&deck, Some(&cons)).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.content_hash(), circuit_content_hash(&circuit));
+        let mut parsed = parser::parse_spice(&deck).unwrap();
+        parser::parse_constraints(&mut parsed, &cons).unwrap();
+        assert_eq!(a.content_hash(), circuit_content_hash(&parsed));
         assert!(cache.invalidate(a.content_hash()));
         assert!(cache.is_empty());
         let c = cache.get_or_parse(&deck, Some(&cons)).unwrap();

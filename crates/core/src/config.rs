@@ -177,7 +177,7 @@ impl Default for DetailedConfig {
                 max_nodes: 10_000,
                 absolute_gap: 1e-6,
                 relative_gap: 0.001,
-                time_limit: Some(1.5),
+                max_pivots: Some(400_000),
             },
             max_refinement_rounds: 12,
         }

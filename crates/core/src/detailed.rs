@@ -277,8 +277,7 @@ impl DetailedPlacer {
         let mut model = Model::new();
         // Device coordinates (integer grid), domains tightened by presolve.
         // Upper bounds are left open: the chip row `x + tail ≤ chip ≤ ub`
-        // already implies them, and explicit bounds would become extra
-        // simplex rows.
+        // already implies them.
         let xs: Vec<VarId> = (0..n)
             .map(|i| model.add_int_var(format!("p{i}"), head[i], f64::INFINITY, 0.0))
             .collect();
@@ -318,7 +317,7 @@ impl DetailedPlacer {
             }
             // Objective contribution weight·(hi − lo): cost −w on lo, +w on hi.
             // lo is pushed up by its cost but capped by the pin rows; hi is
-            // pushed down by its cost. Open upper bounds avoid bound rows.
+            // pushed down by its cost.
             let lo = model.add_var(format!("lo_{}", net.name), 0.0, f64::INFINITY, -net.weight);
             let hi = model.add_var(format!("hi_{}", net.name), 0.0, f64::INFINITY, net.weight);
             for pin in &net.pins {

@@ -32,7 +32,7 @@ use crate::error::PlaceError;
 use crate::placer::{expect_placer, PlaceOutcome, PlaceSolution};
 use crate::sepplan::SeparationPlanner;
 use analog_netlist::{AlignKind, AppliedDelta, Axis, Circuit, DeviceId, NetlistDelta, Placement};
-use placer_mathopt::{ConstraintOp, Model, VarId};
+use placer_mathopt::{ConstraintOp, Model, SolveError, VarId};
 use std::sync::Arc;
 
 /// Knobs of the incremental re-placement fast path.
@@ -387,8 +387,20 @@ pub fn region_repair(
     region: &[bool],
     pin_cost: f64,
 ) -> Result<Placement, PlaceError> {
+    repair_with_orders_of(circuit, target, target, region, pin_cost)
+}
+
+/// [`region_repair`] with the relative orders taken from `orders`
+/// instead of from `target`.
+fn repair_with_orders_of(
+    circuit: &Circuit,
+    target: &Placement,
+    orders: &Placement,
+    region: &[bool],
+    pin_cost: f64,
+) -> Result<Placement, PlaceError> {
     let mut planner = SeparationPlanner::new(circuit);
-    planner.extend_all_pairs(circuit, target);
+    planner.extend_all_pairs(circuit, orders);
     let tx: Vec<f64> = target.positions.iter().map(|p| p.0).collect();
     let ty: Vec<f64> = target.positions.iter().map(|p| p.1).collect();
     let xs = region_repair_axis(circuit, 0, &tx, planner.x_edges(), region, pin_cost)?;
@@ -407,9 +419,16 @@ pub fn region_repair(
 /// everything else keeps its warm state, then [`region_repair`] snaps the
 /// blend to exact legality with out-of-region devices pinned.
 ///
+/// The blend's pairwise orders can contradict a symmetry group: the
+/// planner may put a device left of one pair member and right of a
+/// self-symmetric member that the group's axis keeps on the other side.
+/// The repair is then infeasible, and it is retried with the orders of
+/// `warm`, a legal layout whose orders the constraints admit.
+///
 /// # Errors
 ///
-/// Returns [`PlaceError::Solve`] when the repair LP is infeasible.
+/// Returns [`PlaceError::Solve`] when the repair LP is infeasible with
+/// either set of orders.
 pub fn finish_region(
     circuit: &Circuit,
     refined: &Placement,
@@ -424,7 +443,12 @@ pub fn finish_region(
             blended.flips[i] = refined.flips[i];
         }
     }
-    region_repair(circuit, &blended, region, pin_cost)
+    match region_repair(circuit, &blended, region, pin_cost) {
+        Err(PlaceError::Solve(SolveError::Infeasible)) => {
+            repair_with_orders_of(circuit, &blended, warm, region, pin_cost)
+        }
+        other => other,
+    }
 }
 
 /// Assembles the fast-path [`PlaceSolution`] from a legalized placement.
@@ -550,5 +574,33 @@ mod tests {
         refined.positions[rb.index()].0 += 0.75;
         let out = finish_region(&c, &refined, &warm, &region, 1e4).unwrap();
         assert!(out.is_legal(&c, 1e-6));
+    }
+
+    #[test]
+    fn finish_region_legalizes_any_nudge_of_a_legal_layout() {
+        use rand::{Rng, SeedableRng};
+        // Nudged blends can order a device between a symmetry pair and its
+        // self-symmetric axis device in a way the axis forbids; the warm
+        // layout's orders must rescue every such case.
+        for c in [testcases::adder(), testcases::cm_ota1()] {
+            let n = c.num_devices();
+            let warm = region_repair(&c, &spread_row(&c), &vec![true; n], 1.0).unwrap();
+            assert!(warm.is_legal(&c, 1e-6));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+            for _ in 0..300 {
+                let mut dirty = vec![false; n];
+                dirty[rng.gen_range(0..n)] = true;
+                let region = region_mask(&c, &warm, &dirty, 2.0);
+                let mut refined = warm.clone();
+                for (i, p) in refined.positions.iter_mut().enumerate() {
+                    if region[i] {
+                        p.0 += rng.gen_range(-15.0..15.0);
+                        p.1 += rng.gen_range(-15.0..15.0);
+                    }
+                }
+                let out = finish_region(&c, &refined, &warm, &region, 1e4).unwrap();
+                assert!(out.is_legal(&c, 1e-6));
+            }
+        }
     }
 }

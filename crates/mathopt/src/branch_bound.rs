@@ -1,6 +1,13 @@
 //! Branch-and-bound mixed-integer solver on top of the simplex core.
+//!
+//! One [`Simplex`] serves a whole solve, because every node and diving
+//! fix differs from the root only in its bounds: a node re-solves from its
+//! parent's optimal basis, a diving fix from the basis the previous fix
+//! left.
 
-use crate::simplex::solve_lp_with_bounds;
+use std::rc::Rc;
+
+use crate::simplex::Simplex;
 use crate::{Model, Solution, SolveError};
 
 /// Branch-and-bound nodes popped off the stack across all MILP solves.
@@ -21,8 +28,10 @@ pub struct MilpOptions {
     /// Prune nodes whose bound is within this *fraction* of the incumbent
     /// (accepting slightly suboptimal solutions for large speedups).
     pub relative_gap: f64,
-    /// Optional wall-clock budget in seconds.
-    pub time_limit: Option<f64>,
+    /// Optional budget of simplex pivots over the whole solve (root,
+    /// nodes and dives). Diving stops at half of it. A pivot count, unlike
+    /// a wall-clock limit, stops a solve at the same point on every host.
+    pub max_pivots: Option<u64>,
 }
 
 impl Default for MilpOptions {
@@ -31,7 +40,7 @@ impl Default for MilpOptions {
             max_nodes: 50_000,
             absolute_gap: 1e-6,
             relative_gap: 0.0,
-            time_limit: Some(20.0),
+            max_pivots: Some(4_000_000),
         }
     }
 }
@@ -42,6 +51,9 @@ struct Node {
     upper: Vec<f64>,
     /// LP bound inherited from the parent (for pruning before solving).
     parent_bound: f64,
+    /// The parent's optimal basis header, shared by both children; the
+    /// node's re-solve starts from it (the root starts from slacks).
+    basis: Option<Rc<[usize]>>,
 }
 
 /// Diving heuristic: repeatedly fixes the most fractional integer variable
@@ -51,16 +63,17 @@ struct Node {
 /// absorb the rounding (e.g. net bounding boxes).
 fn diving_heuristic(
     model: &Model,
+    lp: &mut Simplex,
     lower0: &[f64],
     upper0: &[f64],
     root: &Solution,
-    deadline: Option<std::time::Instant>,
+    max_pivots: Option<u64>,
 ) -> Option<Solution> {
     let mut lower = lower0.to_vec();
     let mut upper = upper0.to_vec();
     let mut current = root.clone();
     loop {
-        if deadline.is_some_and(|d| std::time::Instant::now() > d) {
+        if max_pivots.is_some_and(|cap| lp.pivots() > cap) {
             return None;
         }
         // Pick the next variable to fix: fractional binaries first (they
@@ -101,7 +114,7 @@ fn diving_heuristic(
         let rounded = x.round().clamp(lower[j], upper[j]);
         lower[j] = rounded;
         upper[j] = rounded;
-        match solve_lp_with_bounds(model, &lower, &upper) {
+        match lp.solve(&lower, &upper) {
             Ok(s) => current = s,
             Err(_) => {
                 let alt = if rounded > x {
@@ -114,7 +127,7 @@ fn diving_heuristic(
                 }
                 lower[j] = alt;
                 upper[j] = alt;
-                match solve_lp_with_bounds(model, &lower, &upper) {
+                match lp.solve(&lower, &upper) {
                     Ok(s) => current = s,
                     Err(_) => return None,
                 }
@@ -143,7 +156,8 @@ fn rounding_heuristic(model: &Model, relaxed: &Solution) -> Option<Solution> {
 impl Model {
     /// Solves the model as a mixed-integer program with branch and bound.
     ///
-    /// Continuous relaxations are solved by the two-phase simplex; branching
+    /// Continuous relaxations are solved by the bounded simplex, each node
+    /// warm-started from its parent's optimal basis; branching
     /// is on the most fractional integer variable; a rounding heuristic seeds
     /// the incumbent. The search is depth-first (better-child first).
     ///
@@ -151,11 +165,11 @@ impl Model {
     ///
     /// [`SolveError::Infeasible`] when no integer-feasible point exists,
     /// [`SolveError::Unbounded`] when the relaxation is unbounded, and
-    /// [`SolveError::NodeLimit`] when the node/time budget runs out before
+    /// [`SolveError::NodeLimit`] when the node/pivot budget runs out before
     /// any integer solution was found. If the budget runs out *after* an
     /// incumbent was found, the incumbent is returned (best effort).
     pub fn solve_milp(&self, opts: &MilpOptions) -> Result<Solution, SolveError> {
-        let start = std::time::Instant::now();
+        let mut lp = Simplex::new(self);
         let lower0: Vec<f64> = self.variables().iter().map(|v| v.lower).collect();
         let upper0: Vec<f64> = self.variables().iter().map(|v| v.upper).collect();
 
@@ -177,33 +191,38 @@ impl Model {
             lower: lower0,
             upper: upper0,
             parent_bound: f64::NEG_INFINITY,
+            basis: None,
         }];
         let mut nodes = 0usize;
         let mut dives = 0usize;
-        let mut root_infeasible = true;
 
         while let Some(node) = stack.pop() {
             nodes += 1;
             MILP_NODES.add(1);
-            if nodes > opts.max_nodes
-                || opts
-                    .time_limit
-                    .is_some_and(|t| start.elapsed().as_secs_f64() > t)
-            {
+            if nodes > opts.max_nodes || opts.max_pivots.is_some_and(|cap| lp.pivots() > cap) {
                 placer_telemetry::vlog!(
                     1,
-                    "milp: budget exhausted at {nodes} nodes ({}s), stack {}, incumbent {:?}",
-                    start.elapsed().as_secs_f64(),
+                    "milp: budget exhausted at {nodes} nodes ({} pivots), stack {}, incumbent {:?}",
+                    lp.pivots(),
                     stack.len(),
                     incumbent.as_ref().map(|s| s.objective)
                 );
                 if incumbent.is_none() {
-                    // Last resort: one deadline-free dive from this node so
-                    // slow machines (or debug builds) still get a feasible
-                    // answer instead of a NodeLimit error.
-                    if let Ok(relaxed) = solve_lp_with_bounds(self, &node.lower, &node.upper) {
-                        incumbent =
-                            diving_heuristic(self, &node.lower, &node.upper, &relaxed, None);
+                    // Last resort: one budget-free dive from this node, so a
+                    // capped solve still gets a feasible answer instead of a
+                    // NodeLimit error.
+                    if let Some(basis) = &node.basis {
+                        lp.load_basis(basis);
+                    }
+                    if let Ok(relaxed) = lp.solve(&node.lower, &node.upper) {
+                        incumbent = diving_heuristic(
+                            self,
+                            &mut lp,
+                            &node.lower,
+                            &node.upper,
+                            &relaxed,
+                            None,
+                        );
                     }
                 }
                 return incumbent.ok_or(SolveError::NodeLimit);
@@ -216,7 +235,10 @@ impl Model {
                     continue;
                 }
             }
-            let relaxed = match solve_lp_with_bounds(self, &node.lower, &node.upper) {
+            if let Some(basis) = &node.basis {
+                lp.load_basis(basis);
+            }
+            let relaxed = match lp.solve(&node.lower, &node.upper) {
                 Ok(s) => s,
                 Err(SolveError::Infeasible) => continue,
                 Err(SolveError::Unbounded) if nodes == 1 => return Err(SolveError::Unbounded),
@@ -230,7 +252,6 @@ impl Model {
                 }
                 Err(e) => return Err(e),
             };
-            root_infeasible = false;
             if let Some(inc) = &incumbent {
                 let cutoff =
                     inc.objective - opts.absolute_gap - opts.relative_gap * inc.objective.abs();
@@ -278,24 +299,30 @@ impl Model {
                     }
                 }
                 Some((j, x)) => {
+                    let basis: Rc<[usize]> = lp.basis().into();
                     if incumbent.is_none() {
                         incumbent = rounding_heuristic(self, &relaxed);
                     }
                     if incumbent.is_none() && dives < 5 && nodes.is_power_of_two() {
                         dives += 1;
-                        let deadline = opts
-                            .time_limit
-                            .map(|t| start + std::time::Duration::from_secs_f64(t * 0.5));
-                        incumbent =
-                            diving_heuristic(self, &node.lower, &node.upper, &relaxed, deadline);
+                        incumbent = diving_heuristic(
+                            self,
+                            &mut lp,
+                            &node.lower,
+                            &node.upper,
+                            &relaxed,
+                            opts.max_pivots.map(|cap| cap / 2),
+                        );
                     }
                     let floor = x.floor();
                     let mut down = node.clone();
                     down.upper[j] = floor.min(down.upper[j]);
                     down.parent_bound = relaxed.objective;
-                    let mut up = node.clone();
+                    down.basis = Some(Rc::clone(&basis));
+                    let mut up = node;
                     up.lower[j] = (floor + 1.0).max(up.lower[j]);
                     up.parent_bound = relaxed.objective;
+                    up.basis = Some(basis);
                     // Explore the child nearest the LP value first (LIFO).
                     if x - floor < 0.5 {
                         stack.push(up);
@@ -313,11 +340,7 @@ impl Model {
             "milp: explored {nodes} nodes, incumbent: {:?}",
             incumbent.as_ref().map(|s| s.objective)
         );
-        match incumbent {
-            Some(s) => Ok(s),
-            None if root_infeasible => Err(SolveError::Infeasible),
-            None => Err(SolveError::Infeasible),
-        }
+        incumbent.ok_or(SolveError::Infeasible)
     }
 }
 

@@ -2,11 +2,19 @@
 //!
 //! A self-contained linear and mixed-integer programming toolkit sized for
 //! analog placement problems (hundreds of variables): a [`Model`] builder,
-//! a dense two-phase primal simplex (`Model::solve_lp`), and a
-//! branch-and-bound MILP solver (`Model::solve_milp`).
+//! a bounded-variable simplex (`Model::solve_lp`), and a branch-and-bound
+//! MILP solver (`Model::solve_milp`).
 //!
-//! The paper's detailed placer (Eq. 4a–4j) and the ISPD'19 baseline's
-//! two-stage LP legalization are both built on this crate.
+//! Variable bounds stay column bounds and every row gets a logical
+//! variable, so the slack basis is always a valid start. A dual simplex
+//! with bound flipping re-optimizes after a bound change, which lets every
+//! branch-and-bound node and diving fix re-solve from a basis instead of
+//! from scratch. [`MilpOptions::max_pivots`] caps a MILP solve by work
+//! done, so where a capped solve stops does not depend on the host.
+//!
+//! The paper's detailed placer (Eq. 4a–4j), the ECO region repair, the
+//! annealer's constraint repair and the ISPD'19 baseline's two-stage LP
+//! legalization are all built on this crate.
 //!
 //! # Examples
 //!
@@ -31,7 +39,9 @@
 mod branch_bound;
 mod diff_systems;
 mod model;
+mod oracle_props;
 mod simplex;
+mod tableau;
 
 pub use branch_bound::MilpOptions;
 pub use model::{Constraint, ConstraintOp, Model, Solution, SolveError, VarId, Variable};

@@ -1,367 +1,668 @@
-//! Dense two-phase primal simplex.
+//! Bounded-variable simplex over a dense tableau, warm-started across
+//! solves.
 //!
-//! Handles general variable bounds by shifting/mirroring/splitting into
-//! nonnegative columns; finite upper bounds become explicit rows. Phase 1
-//! minimizes artificial infeasibility; phase 2 minimizes the user objective.
-//! Largest-reduced-cost pivoting with a Bland's-rule fallback guards against
-//! cycling.
+//! Every constraint row `a·x op b` gets a logical variable `s = −a·x`
+//! whose bounds encode the row (`Le`: `s ≥ −b`, `Ge`: `s ≤ −b`, `Eq`:
+//! `s = −b`), so the model reads `[A | I]·(x, s) = 0` with a lower and an
+//! upper bound on every column. Variable bounds stay column bounds and
+//! never become rows, and the all-logical basis is always a valid start.
+//!
+//! [`Simplex`] keeps the tableau `B⁻¹[A | I]`, the basis header and the
+//! current point between solves. A re-solve with different variable
+//! bounds (a branch-and-bound child, a diving fix) starts from the basis
+//! the previous solve ended in:
+//!
+//! - A bound change leaves the reduced costs alone, so the old optimal
+//!   basis stays dual feasible and a **dual simplex** with a bound-flipping
+//!   ratio test restores primal feasibility.
+//! - When the start is neither primal nor dual feasible (a cold start with
+//!   a negative-cost column that has no upper bound, or a nonbasic column
+//!   whose bound was loosened away), the offending costs are shifted until
+//!   the basis is dual feasible, the dual simplex runs, and after the costs
+//!   are restored a **primal simplex** finishes from the feasible basis.
+//!
+//! Storage is dense: the models the legalizers build have a few hundred
+//! rows, and their tableaux stay small enough that a dense row update with
+//! a sparse pivot-row index beats maintaining a sparse LU.
 
 use crate::{ConstraintOp, Model, Solution, SolveError};
 
-/// Simplex pivots across all solves (phase 1 + phase 2 + MILP subproblems).
+/// Simplex pivots across all solves (dual, primal and refactorization).
 static SIMPLEX_PIVOTS: placer_telemetry::Counter = placer_telemetry::Counter::new("simplex_pivots");
+/// LP solves, cold or warm (`solve_lp` calls and every MILP re-solve).
+static SIMPLEX_SOLVES: placer_telemetry::Counter = placer_telemetry::Counter::new("simplex_solves");
 
+/// Smallest tableau entry accepted as a pivot.
 const PIVOT_TOL: f64 = 1e-9;
-const COST_TOL: f64 = 1e-9;
-const FEAS_TOL: f64 = 1e-7;
+/// Reduced-cost optimality tolerance.
+const DUAL_TOL: f64 = 1e-9;
+/// Primal feasibility tolerance on variable bounds.
+const FEAS_TOL: f64 = 1e-9;
+/// Pivots after which the next solve rebuilds the tableau from the model.
+const REFACTOR_AFTER: u64 = 2000;
+/// Consecutive degenerate iterations before switching to Bland's rule.
+const STALL_LIMIT: usize = 200;
+/// Marks a variable that is not basic in any row.
+const NONBASIC: usize = usize::MAX;
 
-/// How each user variable maps onto nonnegative simplex columns:
-/// `x = offset + Σ sign·col`.
-#[derive(Debug, Clone)]
-struct VarMap {
-    offset: f64,
-    cols: Vec<(usize, f64)>,
-}
-
-struct Tableau {
+/// A warm-startable LP over one model's rows and columns.
+///
+/// All solves of one instance share the constraint matrix and objective;
+/// only the structural variables' bounds change between them.
+pub(crate) struct Simplex {
+    /// Rows.
     m: usize,
+    /// Structural columns; logical `i` is column `n + i`.
     n: usize,
-    /// (m+1) × (n+1); row m is the objective row, column n the rhs.
-    a: Vec<f64>,
+    /// Row-major `m × (n + m)` tableau `B⁻¹[A | I]`.
+    t: Vec<f64>,
+    /// Reduced costs under the current (possibly shifted) costs.
+    d: Vec<f64>,
+    /// Costs in use (the objective, plus any temporary shifts).
+    cost: Vec<f64>,
+    /// The model's objective (logicals cost nothing).
+    obj: Vec<f64>,
+    lo: Vec<f64>,
+    up: Vec<f64>,
+    /// Current value of every column; nonbasic ones sit at a bound (or at
+    /// zero when free).
+    x: Vec<f64>,
+    /// Column basic in each row.
     basis: Vec<usize>,
-    banned: Vec<bool>,
+    /// Row each column is basic in, or [`NONBASIC`].
+    row_of: Vec<usize>,
+    /// Dual Devex reference weights, one per row.
+    weight: Vec<f64>,
+    /// Sparse rows of `A`, for refactorization.
+    rows: Vec<Vec<(usize, f64)>>,
+    pivots: u64,
+    since_refactor: u64,
+    /// Scratch: nonzero columns of the pivot row.
+    nz: Vec<usize>,
+    /// Scratch: dual ratio-test candidates `(ratio, column)`.
+    cand: Vec<(f64, usize)>,
 }
 
-impl Tableau {
-    fn at(&self, r: usize, c: usize) -> f64 {
-        self.a[r * (self.n + 1) + c]
+/// Where a nonbasic column sits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum At {
+    Lower,
+    Upper,
+    /// Both bounds infinite; the column rests at zero.
+    Free,
+    /// `lower == upper`: never enters.
+    Fixed,
+}
+
+impl Simplex {
+    /// Builds the slack-basis tableau for `model`.
+    pub(crate) fn new(model: &Model) -> Self {
+        let m = model.num_constraints();
+        let n = model.num_vars();
+        let w = n + m;
+        let mut lo = vec![0.0; w];
+        let mut up = vec![0.0; w];
+        let mut obj = vec![0.0; w];
+        for (j, v) in model.variables().iter().enumerate() {
+            lo[j] = v.lower;
+            up[j] = v.upper;
+            obj[j] = v.objective;
+        }
+        let rows: Vec<Vec<(usize, f64)>> = model
+            .constraints()
+            .iter()
+            .map(|c| c.terms.iter().map(|&(v, a)| (v.index(), a)).collect())
+            .collect();
+        for (i, c) in model.constraints().iter().enumerate() {
+            let (l, u) = match c.op {
+                ConstraintOp::Le => (-c.rhs, f64::INFINITY),
+                ConstraintOp::Ge => (f64::NEG_INFINITY, -c.rhs),
+                ConstraintOp::Eq => (-c.rhs, -c.rhs),
+            };
+            lo[n + i] = l;
+            up[n + i] = u;
+        }
+        let mut s = Self {
+            m,
+            n,
+            t: vec![0.0; m * w],
+            d: obj.clone(),
+            cost: obj.clone(),
+            obj,
+            lo,
+            up,
+            x: vec![0.0; w],
+            basis: Vec::new(),
+            row_of: Vec::new(),
+            weight: vec![1.0; m],
+            rows,
+            pivots: 0,
+            since_refactor: 0,
+            nz: Vec::new(),
+            cand: Vec::new(),
+        };
+        s.load_slack_basis();
+        s
     }
 
-    fn at_mut(&mut self, r: usize, c: usize) -> &mut f64 {
-        &mut self.a[r * (self.n + 1) + c]
+    /// Pivots performed by this instance so far, refactorizations
+    /// included.
+    pub(crate) fn pivots(&self) -> u64 {
+        self.pivots
     }
 
-    fn pivot(&mut self, r: usize, c: usize) {
-        SIMPLEX_PIVOTS.add(1);
-        let w = self.n + 1;
-        let p = self.a[r * w + c];
-        debug_assert!(p.abs() > PIVOT_TOL);
-        let inv = 1.0 / p;
+    /// The basis header: the column basic in each row.
+    pub(crate) fn basis(&self) -> &[usize] {
+        &self.basis
+    }
+
+    /// Makes the columns of `header` (an earlier [`basis`](Self::basis)
+    /// of this instance) basic again, pivoting in only the columns that
+    /// differ from the current basis.
+    pub(crate) fn load_basis(&mut self, header: &[usize]) {
+        let w = self.n + self.m;
+        let mut want = vec![false; w];
+        for &j in header {
+            want[j] = true;
+        }
+        let mut moved = false;
+        for &q in header {
+            if self.row_of[q] != NONBASIC {
+                continue;
+            }
+            // Partial pivoting over rows whose basic column is unwanted.
+            let mut best: Option<(usize, f64)> = None;
+            for r in 0..self.m {
+                let a = self.t[r * w + q].abs();
+                if !want[self.basis[r]] && a > PIVOT_TOL && best.is_none_or(|(_, b)| a > b) {
+                    best = Some((r, a));
+                }
+            }
+            if let Some((r, _)) = best {
+                self.pivot(r, q);
+                moved = true;
+            }
+        }
+        if moved {
+            self.weight.fill(1.0);
+        }
+    }
+
+    /// Resets the tableau to `[A | I]` with every logical basic.
+    fn load_slack_basis(&mut self) {
+        let (m, n, w) = (self.m, self.n, self.n + self.m);
+        self.t.fill(0.0);
+        for (i, row) in self.rows.iter().enumerate() {
+            for &(j, a) in row {
+                self.t[i * w + j] = a;
+            }
+            self.t[i * w + n + i] = 1.0;
+        }
+        self.basis = (n..w).collect();
+        self.row_of = vec![NONBASIC; w];
+        for i in 0..m {
+            self.row_of[n + i] = i;
+        }
+        self.weight.fill(1.0);
+        self.since_refactor = 0;
+    }
+
+    /// Rebuilds the tableau from the model for the current basis, which
+    /// sheds the rounding error that pivots accumulate. A column that can
+    /// not re-enter (numerically dependent) stays nonbasic; the next solve
+    /// places it at a bound.
+    fn refactor(&mut self) {
+        let header = self.basis.clone();
+        self.load_slack_basis();
+        self.load_basis(&header);
+        self.recompute_duals();
+    }
+
+    /// Solves with the structural bounds `lower`/`upper`, starting from
+    /// the basis the previous solve ended in.
+    pub(crate) fn solve(&mut self, lower: &[f64], upper: &[f64]) -> Result<Solution, SolveError> {
+        assert_eq!(lower.len(), self.n);
+        assert_eq!(upper.len(), self.n);
+        SIMPLEX_SOLVES.add(1);
+        if lower.iter().zip(upper).any(|(l, u)| l > u) {
+            return Err(SolveError::Infeasible);
+        }
+        self.lo[..self.n].copy_from_slice(lower);
+        self.up[..self.n].copy_from_slice(upper);
+        if self.since_refactor > REFACTOR_AFTER {
+            self.refactor();
+        }
+        let w = self.n + self.m;
+        let mut budget = 200 * (w + self.m + 10);
+        self.place_nonbasics();
+        self.recompute_primals();
+        // Two rounds at most: the second only runs when recomputing the
+        // basic values from scratch exposes drift the first round hid.
+        for _ in 0..2 {
+            if !self.primal_feasible() {
+                let shifted = self.shift_costs();
+                let repaired = self.dual(&mut budget);
+                if shifted {
+                    self.cost.copy_from_slice(&self.obj);
+                    self.recompute_duals();
+                }
+                repaired?;
+            }
+            self.primal(&mut budget)?;
+            self.recompute_primals();
+            if self.primal_feasible() {
+                break;
+            }
+        }
+        let values = self.x[..self.n].to_vec();
+        let objective = self.obj.iter().zip(&values).map(|(c, x)| c * x).sum();
+        Ok(Solution { values, objective })
+    }
+
+    fn state(&self, j: usize) -> At {
+        let (l, u, v) = (self.lo[j], self.up[j], self.x[j]);
+        if l == u {
+            At::Fixed
+        } else if v == l {
+            At::Lower
+        } else if v == u {
+            At::Upper
+        } else {
+            At::Free
+        }
+    }
+
+    /// Puts every nonbasic column at a bound of its (new) box: the side
+    /// its reduced cost prefers when both are finite (ties keep the side
+    /// nearest the old value), else the finite one, else zero.
+    fn place_nonbasics(&mut self) {
+        for j in 0..self.n + self.m {
+            if self.row_of[j] != NONBASIC {
+                continue;
+            }
+            let (l, u) = (self.lo[j], self.up[j]);
+            self.x[j] = match (l.is_finite(), u.is_finite()) {
+                (true, true) if l == u => l,
+                (true, true) => {
+                    if self.d[j] > DUAL_TOL {
+                        l
+                    } else if self.d[j] < -DUAL_TOL || (self.x[j] - u).abs() < (self.x[j] - l).abs()
+                    {
+                        u
+                    } else {
+                        l
+                    }
+                }
+                (true, false) => l,
+                (false, true) => u,
+                (false, false) => 0.0,
+            };
+        }
+    }
+
+    /// Basic values from the nonbasic ones: `x_B = −Σ_N T[:, j]·x_j`.
+    fn recompute_primals(&mut self) {
+        let w = self.n + self.m;
+        self.nz.clear();
         for j in 0..w {
-            self.a[r * w + j] *= inv;
+            if self.row_of[j] == NONBASIC && self.x[j] != 0.0 {
+                self.nz.push(j);
+            }
         }
-        for i in 0..=self.m {
-            if i == r {
-                continue;
-            }
-            let factor = self.a[i * w + c];
-            if factor.abs() <= PIVOT_TOL {
-                self.a[i * w + c] = 0.0;
-                continue;
-            }
-            for j in 0..w {
-                self.a[i * w + j] -= factor * self.a[r * w + j];
-            }
-            self.a[i * w + c] = 0.0;
+        for r in 0..self.m {
+            let row = &self.t[r * w..(r + 1) * w];
+            let v: f64 = self.nz.iter().map(|&j| row[j] * self.x[j]).sum();
+            self.x[self.basis[r]] = -v;
         }
-        self.basis[r] = c;
     }
 
-    /// Runs simplex iterations until optimal/unbounded/limit.
-    fn optimize(&mut self, max_iters: usize) -> Result<(), SolveError> {
-        let bland_after = max_iters / 2;
-        for iter in 0..max_iters {
-            // Entering column.
-            let mut enter: Option<usize> = None;
-            if iter < bland_after {
-                let mut best = -COST_TOL;
-                for j in 0..self.n {
-                    if self.banned[j] {
-                        continue;
-                    }
-                    let rc = self.at(self.m, j);
-                    if rc < best {
-                        best = rc;
-                        enter = Some(j);
-                    }
+    /// Reduced costs from scratch: `d = c − c_B·T`.
+    fn recompute_duals(&mut self) {
+        let w = self.n + self.m;
+        self.d.copy_from_slice(&self.cost);
+        for r in 0..self.m {
+            let cb = self.cost[self.basis[r]];
+            if cb == 0.0 {
+                continue;
+            }
+            let row = &self.t[r * w..(r + 1) * w];
+            for (dj, &a) in self.d.iter_mut().zip(row) {
+                *dj -= cb * a;
+            }
+        }
+        for &j in &self.basis {
+            self.d[j] = 0.0;
+        }
+    }
+
+    /// How far basic row `r` lies outside its bounds: positive below the
+    /// lower bound, negative above the upper, zero inside.
+    fn infeasibility(&self, r: usize) -> f64 {
+        let p = self.basis[r];
+        let v = self.x[p];
+        if v < self.lo[p] - FEAS_TOL {
+            self.lo[p] - v
+        } else if v > self.up[p] + FEAS_TOL {
+            self.up[p] - v
+        } else {
+            0.0
+        }
+    }
+
+    fn primal_feasible(&self) -> bool {
+        (0..self.m).all(|r| self.infeasibility(r) == 0.0)
+    }
+
+    /// Shifts the cost of every dual-infeasible nonbasic column so its
+    /// reduced cost is zero. Returns whether any cost moved.
+    fn shift_costs(&mut self) -> bool {
+        let mut shifted = false;
+        for j in 0..self.n + self.m {
+            if self.row_of[j] != NONBASIC {
+                continue;
+            }
+            let dj = self.d[j];
+            let bad = match self.state(j) {
+                At::Lower => dj < -DUAL_TOL,
+                At::Upper => dj > DUAL_TOL,
+                At::Free => dj.abs() > DUAL_TOL,
+                At::Fixed => false,
+            };
+            if bad {
+                self.cost[j] -= dj;
+                self.d[j] = 0.0;
+                shifted = true;
+            }
+        }
+        shifted
+    }
+
+    /// Dual simplex: keeps the reduced costs feasible and drives basic
+    /// values into their bounds. Returns `Infeasible` when a row can not
+    /// be repaired by any nonbasic column.
+    fn dual(&mut self, budget: &mut usize) -> Result<(), SolveError> {
+        let w = self.n + self.m;
+        let mut stall = 0usize;
+        loop {
+            let bland = stall > STALL_LIMIT;
+            // Leaving row: largest Devex-scaled infeasibility (Bland: the
+            // infeasible row whose basic column has the smallest index).
+            let mut leave: Option<(usize, f64)> = None;
+            let mut best = 0.0;
+            for r in 0..self.m {
+                let delta = self.infeasibility(r);
+                if delta == 0.0 {
+                    continue;
                 }
-            } else {
-                // Bland's rule: smallest index with negative reduced cost.
-                for j in 0..self.n {
-                    if !self.banned[j] && self.at(self.m, j) < -COST_TOL {
-                        enter = Some(j);
-                        break;
+                if bland {
+                    if leave.is_none_or(|(l, _)| self.basis[r] < self.basis[l]) {
+                        leave = Some((r, delta));
+                    }
+                } else {
+                    let score = delta * delta / self.weight[r];
+                    if score > best {
+                        best = score;
+                        leave = Some((r, delta));
                     }
                 }
             }
-            let Some(c) = enter else {
+            let Some((r, delta)) = leave else {
                 return Ok(());
             };
-            // Ratio test.
-            let mut leave: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
+            if *budget == 0 {
+                return Err(SolveError::IterationLimit);
+            }
+            *budget -= 1;
+            // `delta > 0`: the leaving column must rise to its lower bound.
+            let s = delta.signum();
+            let row = &self.t[r * w..(r + 1) * w];
+            self.cand.clear();
+            for (j, &a) in row.iter().enumerate() {
+                if a.abs() <= PIVOT_TOL || self.row_of[j] != NONBASIC {
+                    continue;
+                }
+                let dj = self.d[j];
+                // Moving x_j by Δ changes the leaving value by −a·Δ.
+                let slack = match self.state(j) {
+                    At::Lower if s * a < 0.0 => dj,
+                    At::Upper if s * a > 0.0 => -dj,
+                    At::Free => dj.abs(),
+                    _ => continue,
+                };
+                self.cand.push((slack.max(0.0) / a.abs(), j));
+            }
+            if self.cand.is_empty() {
+                return Err(SolveError::Infeasible);
+            }
+            self.cand
+                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // Bound-flipping ratio test: pass breakpoints of boxed columns
+            // while the leaving row stays infeasible after flipping them.
+            let mut slope = delta.abs();
+            let mut k = 0;
+            if !bland {
+                while k + 1 < self.cand.len() {
+                    let j = self.cand[k].1;
+                    let range = self.up[j] - self.lo[j];
+                    let drop = row[j].abs() * range;
+                    if !range.is_finite() || slope - drop <= FEAS_TOL {
+                        break;
+                    }
+                    slope -= drop;
+                    k += 1;
+                }
+            }
+            // Harris pass: among the breakpoints tied with the stopping
+            // one, take the largest pivot.
+            let mut q = self.cand[k].1;
+            if !bland {
+                let limit = self.cand[k].0 + DUAL_TOL;
+                let mut big = row[q].abs();
+                for &(ratio, j) in &self.cand[k + 1..] {
+                    if ratio > limit {
+                        break;
+                    }
+                    if row[j].abs() > big {
+                        big = row[j].abs();
+                        q = j;
+                    }
+                }
+            }
+            let step = self.cand[k].0;
+            stall = if step <= DUAL_TOL { stall + 1 } else { 0 };
+            // Flip every passed column to its other bound.
+            for idx in 0..k {
+                let j = self.cand[idx].1;
+                let to = if self.x[j] == self.lo[j] {
+                    self.up[j]
+                } else {
+                    self.lo[j]
+                };
+                self.move_nonbasic(j, to - self.x[j]);
+                self.x[j] = to;
+            }
+            let p = self.basis[r];
+            let target = if delta > 0.0 { self.lo[p] } else { self.up[p] };
+            let theta = (self.x[p] - target) / self.t[r * w + q];
+            self.move_nonbasic(q, theta);
+            self.x[p] = target;
+            self.update_weights(r, q);
+            self.pivot(r, q);
+        }
+    }
+
+    /// Primal simplex from a primal feasible basis.
+    fn primal(&mut self, budget: &mut usize) -> Result<(), SolveError> {
+        let w = self.n + self.m;
+        let mut stall = 0usize;
+        loop {
+            let bland = stall > STALL_LIMIT;
+            // Entering column: largest reduced-cost violation (Bland: the
+            // smallest eligible index). `dir` is its direction of travel.
+            let mut enter: Option<(usize, f64)> = None;
+            let mut best = DUAL_TOL;
+            for j in 0..w {
+                if self.row_of[j] != NONBASIC {
+                    continue;
+                }
+                let dj = self.d[j];
+                let dir = match self.state(j) {
+                    At::Lower if dj < -DUAL_TOL => 1.0,
+                    At::Upper if dj > DUAL_TOL => -1.0,
+                    At::Free if dj.abs() > DUAL_TOL => -dj.signum(),
+                    _ => continue,
+                };
+                if bland {
+                    enter = Some((j, dir));
+                    break;
+                }
+                if dj.abs() > best {
+                    best = dj.abs();
+                    enter = Some((j, dir));
+                }
+            }
+            let Some((q, dir)) = enter else {
+                return Ok(());
+            };
+            if *budget == 0 {
+                return Err(SolveError::IterationLimit);
+            }
+            *budget -= 1;
+            // Ratio test (Harris two-pass) over the basic columns; the
+            // entering column's own box caps the step.
+            let rate = |r: usize| -dir * self.t[r * w + q];
+            let room = |r: usize, rt: f64| {
+                let p = self.basis[r];
+                if rt > 0.0 {
+                    self.up[p] - self.x[p]
+                } else {
+                    self.x[p] - self.lo[p]
+                }
+            };
+            let mut cap = f64::INFINITY;
             for r in 0..self.m {
-                let a_rc = self.at(r, c);
-                if a_rc > PIVOT_TOL {
-                    let ratio = self.at(r, self.n) / a_rc;
-                    if ratio < best_ratio - 1e-12
-                        || (ratio < best_ratio + 1e-12
-                            && leave.is_some_and(|lr| self.basis[r] < self.basis[lr]))
-                    {
-                        best_ratio = ratio;
-                        leave = Some(r);
-                    }
+                let rt = rate(r);
+                if rt.abs() > PIVOT_TOL {
+                    cap = cap.min((room(r, rt).max(0.0) + FEAS_TOL) / rt.abs());
                 }
             }
-            let Some(r) = leave else {
-                return Err(SolveError::Unbounded);
-            };
-            self.pivot(r, c);
-        }
-        Err(SolveError::IterationLimit)
-    }
-}
-
-/// Solves the LP relaxation of `model` with overridden variable bounds.
-///
-/// `lower`/`upper` must have one entry per model variable; integrality is
-/// ignored. This is the work-horse used both by [`Model::solve_lp`] and by
-/// branch-and-bound nodes.
-pub(crate) fn solve_lp_with_bounds(
-    model: &Model,
-    lower: &[f64],
-    upper: &[f64],
-) -> Result<Solution, SolveError> {
-    assert_eq!(lower.len(), model.num_vars());
-    assert_eq!(upper.len(), model.num_vars());
-    for (l, u) in lower.iter().zip(upper) {
-        if l > u {
-            return Err(SolveError::Infeasible);
-        }
-    }
-
-    // --- Variable transformation. -----------------------------------------
-    let mut maps: Vec<VarMap> = Vec::with_capacity(model.num_vars());
-    let mut n_struct = 0usize;
-    // Extra rows for finite upper bounds of shifted columns.
-    let mut ub_rows: Vec<(usize, f64)> = Vec::new();
-    for j in 0..model.num_vars() {
-        let (l, u) = (lower[j], upper[j]);
-        if l.is_finite() {
-            let col = n_struct;
-            n_struct += 1;
-            maps.push(VarMap {
-                offset: l,
-                cols: vec![(col, 1.0)],
-            });
-            if u.is_finite() {
-                ub_rows.push((col, u - l));
-            }
-        } else if u.is_finite() {
-            // x = u − x', x' ≥ 0.
-            let col = n_struct;
-            n_struct += 1;
-            maps.push(VarMap {
-                offset: u,
-                cols: vec![(col, -1.0)],
-            });
-        } else {
-            // Free: x = x⁺ − x⁻.
-            let cp = n_struct;
-            let cm = n_struct + 1;
-            n_struct += 2;
-            maps.push(VarMap {
-                offset: 0.0,
-                cols: vec![(cp, 1.0), (cm, -1.0)],
-            });
-        }
-    }
-
-    // --- Row assembly. -----------------------------------------------------
-    // Each row: dense structural coefficients, op, rhs.
-    struct Row {
-        coeffs: Vec<f64>,
-        op: ConstraintOp,
-        rhs: f64,
-    }
-    let mut rows: Vec<Row> = Vec::with_capacity(model.num_constraints() + ub_rows.len());
-    for c in model.constraints() {
-        let mut coeffs = vec![0.0; n_struct];
-        let mut shift = 0.0;
-        for &(v, a) in &c.terms {
-            let map = &maps[v.index()];
-            shift += a * map.offset;
-            for &(col, sign) in &map.cols {
-                coeffs[col] += a * sign;
-            }
-        }
-        rows.push(Row {
-            coeffs,
-            op: c.op,
-            rhs: c.rhs - shift,
-        });
-    }
-    for &(col, ub) in &ub_rows {
-        let mut coeffs = vec![0.0; n_struct];
-        coeffs[col] = 1.0;
-        rows.push(Row {
-            coeffs,
-            op: ConstraintOp::Le,
-            rhs: ub,
-        });
-    }
-
-    // Normalize to rhs ≥ 0.
-    for row in &mut rows {
-        if row.rhs < 0.0 {
-            row.rhs = -row.rhs;
-            for c in &mut row.coeffs {
-                *c = -*c;
-            }
-            row.op = match row.op {
-                ConstraintOp::Le => ConstraintOp::Ge,
-                ConstraintOp::Ge => ConstraintOp::Le,
-                ConstraintOp::Eq => ConstraintOp::Eq,
-            };
-        }
-    }
-
-    // Column layout: [structural | slacks/surplus | artificials].
-    let m = rows.len();
-    let n_slack = rows
-        .iter()
-        .filter(|r| matches!(r.op, ConstraintOp::Le | ConstraintOp::Ge))
-        .count();
-    let n_art = rows
-        .iter()
-        .filter(|r| matches!(r.op, ConstraintOp::Ge | ConstraintOp::Eq))
-        .count();
-    let n = n_struct + n_slack + n_art;
-    let w = n + 1;
-    let mut t = Tableau {
-        m,
-        n,
-        a: vec![0.0; (m + 1) * w],
-        basis: vec![usize::MAX; m],
-        banned: vec![false; n],
-    };
-    let mut slack_idx = n_struct;
-    let mut art_idx = n_struct + n_slack;
-    let mut art_cols: Vec<usize> = Vec::new();
-    for (r, row) in rows.iter().enumerate() {
-        for (j, &c) in row.coeffs.iter().enumerate() {
-            *t.at_mut(r, j) = c;
-        }
-        *t.at_mut(r, n) = row.rhs;
-        match row.op {
-            ConstraintOp::Le => {
-                *t.at_mut(r, slack_idx) = 1.0;
-                t.basis[r] = slack_idx;
-                slack_idx += 1;
-            }
-            ConstraintOp::Ge => {
-                *t.at_mut(r, slack_idx) = -1.0;
-                slack_idx += 1;
-                *t.at_mut(r, art_idx) = 1.0;
-                t.basis[r] = art_idx;
-                art_cols.push(art_idx);
-                art_idx += 1;
-            }
-            ConstraintOp::Eq => {
-                *t.at_mut(r, art_idx) = 1.0;
-                t.basis[r] = art_idx;
-                art_cols.push(art_idx);
-                art_idx += 1;
-            }
-        }
-    }
-
-    let max_iters = 200 * (m + n + 10);
-
-    // --- Phase 1. -----------------------------------------------------------
-    if !art_cols.is_empty() {
-        for &c in &art_cols {
-            *t.at_mut(m, c) = 1.0;
-        }
-        // Canonicalize: zero reduced costs of basic artificials.
-        for r in 0..m {
-            if art_cols.contains(&t.basis[r]) {
-                let factor = t.at(m, t.basis[r]);
-                if factor != 0.0 {
-                    for j in 0..w {
-                        let v = t.at(r, j);
-                        *t.at_mut(m, j) -= factor * v;
-                    }
+            let mut leave: Option<usize> = None;
+            let mut big = 0.0;
+            for r in 0..self.m {
+                let rt = rate(r);
+                if rt.abs() <= PIVOT_TOL || room(r, rt).max(0.0) / rt.abs() > cap {
+                    continue;
+                }
+                let better = if bland {
+                    leave.is_none_or(|l| self.basis[r] < self.basis[l])
+                } else {
+                    rt.abs() > big
+                };
+                if better {
+                    big = rt.abs();
+                    leave = Some(r);
                 }
             }
-        }
-        t.optimize(max_iters)?;
-        let infeas = -t.at(m, n); // objective row rhs = −value
-        if infeas > FEAS_TOL {
-            placer_telemetry::vlog!(
-                2,
-                "simplex: phase-1 infeasibility {infeas:.3e} (m={m}, n={n})"
-            );
-            return Err(SolveError::Infeasible);
-        }
-        // Pivot remaining basic artificials out where possible.
-        for r in 0..m {
-            if art_cols.contains(&t.basis[r]) {
-                if let Some(c) = (0..n_struct + n_slack).find(|&j| t.at(r, j).abs() > 1e-7) {
-                    t.pivot(r, c);
+            let range = self.up[q] - self.lo[q];
+            match leave {
+                Some(r) if range > room(r, rate(r)).max(0.0) / rate(r).abs() => {
+                    let rt = rate(r);
+                    let theta = room(r, rt).max(0.0) / rt.abs();
+                    stall = if theta <= FEAS_TOL { stall + 1 } else { 0 };
+                    let p = self.basis[r];
+                    let target = if rt > 0.0 { self.up[p] } else { self.lo[p] };
+                    self.move_nonbasic(q, dir * theta);
+                    self.x[p] = target;
+                    self.update_weights(r, q);
+                    self.pivot(r, q);
                 }
-            }
-        }
-        for &c in &art_cols {
-            t.banned[c] = true;
-        }
-    }
-
-    // --- Phase 2. -----------------------------------------------------------
-    for j in 0..w {
-        *t.at_mut(m, j) = 0.0;
-    }
-    for (j, map) in maps.iter().enumerate() {
-        let cost = model.variables()[j].objective;
-        for &(col, sign) in &map.cols {
-            *t.at_mut(m, col) += cost * sign;
-        }
-    }
-    // Canonicalize against the current basis.
-    for r in 0..m {
-        let b = t.basis[r];
-        if b < n {
-            let factor = t.at(m, b);
-            if factor != 0.0 {
-                for j in 0..w {
-                    let v = t.at(r, j);
-                    *t.at_mut(m, j) -= factor * v;
+                _ if range.is_finite() => {
+                    // The entering column reaches its other bound first.
+                    stall = 0;
+                    self.move_nonbasic(q, dir * range);
+                    self.x[q] = if dir > 0.0 { self.up[q] } else { self.lo[q] };
                 }
+                _ => return Err(SolveError::Unbounded),
             }
         }
     }
-    t.optimize(max_iters)?;
 
-    // --- Extraction. ---------------------------------------------------------
-    let mut col_values = vec![0.0; n];
-    for r in 0..m {
-        if t.basis[r] < n {
-            col_values[t.basis[r]] = t.at(r, n);
+    /// Moves nonbasic column `j` by `delta` and the basic values with it.
+    fn move_nonbasic(&mut self, j: usize, delta: f64) {
+        if delta == 0.0 {
+            return;
+        }
+        let w = self.n + self.m;
+        self.x[j] += delta;
+        for r in 0..self.m {
+            let a = self.t[r * w + j];
+            if a != 0.0 {
+                self.x[self.basis[r]] -= a * delta;
+            }
         }
     }
-    let values: Vec<f64> = maps
-        .iter()
-        .map(|map| {
-            map.offset
-                + map
-                    .cols
-                    .iter()
-                    .map(|&(col, sign)| sign * col_values[col])
-                    .sum::<f64>()
-        })
-        .collect();
-    let objective = model.objective_value(&values);
-    Ok(Solution { values, objective })
+
+    /// Dual Devex update for a pivot on `(r, q)` (before the pivot).
+    fn update_weights(&mut self, r: usize, q: usize) {
+        let w = self.n + self.m;
+        let ar = self.t[r * w + q];
+        let wr = self.weight[r];
+        for i in 0..self.m {
+            if i != r {
+                let ratio = self.t[i * w + q] / ar;
+                self.weight[i] = self.weight[i].max(ratio * ratio * wr);
+            }
+        }
+        self.weight[r] = (wr / (ar * ar)).max(1.0);
+    }
+
+    /// Gauss–Jordan pivot on `(r, q)`: column `q` enters in row `r`. The
+    /// reduced costs are updated as one more tableau row.
+    fn pivot(&mut self, r: usize, q: usize) {
+        SIMPLEX_PIVOTS.add(1);
+        self.pivots += 1;
+        self.since_refactor += 1;
+        let w = self.n + self.m;
+        let mut nz = std::mem::take(&mut self.nz);
+        let (before, rest) = self.t.split_at_mut(r * w);
+        let (prow, after) = rest.split_at_mut(w);
+        let inv = 1.0 / prow[q];
+        nz.clear();
+        for (j, v) in prow.iter_mut().enumerate() {
+            if *v != 0.0 {
+                *v *= inv;
+                nz.push(j);
+            }
+        }
+        prow[q] = 1.0;
+        // A pivot row with few nonzeros updates through its index list;
+        // a dense one with a straight (vectorizable) sweep.
+        let sparse = nz.len() * 4 < w;
+        let eliminate = |row: &mut [f64]| {
+            let f = row[q];
+            if f == 0.0 {
+                return;
+            }
+            if sparse {
+                for &j in &nz {
+                    row[j] -= f * prow[j];
+                }
+            } else {
+                for (a, &b) in row.iter_mut().zip(prow.iter()) {
+                    *a -= f * b;
+                }
+            }
+            row[q] = 0.0;
+        };
+        before.chunks_exact_mut(w).for_each(eliminate);
+        after.chunks_exact_mut(w).for_each(eliminate);
+        eliminate(&mut self.d);
+        self.nz = nz;
+        let p = self.basis[r];
+        self.row_of[p] = NONBASIC;
+        self.basis[r] = q;
+        self.row_of[q] = r;
+    }
 }
 
 impl Model {
@@ -375,7 +676,7 @@ impl Model {
     pub fn solve_lp(&self) -> Result<Solution, SolveError> {
         let lower: Vec<f64> = self.variables.iter().map(|v| v.lower).collect();
         let upper: Vec<f64> = self.variables.iter().map(|v| v.upper).collect();
-        solve_lp_with_bounds(self, &lower, &upper)
+        Simplex::new(self).solve(&lower, &upper)
     }
 }
 

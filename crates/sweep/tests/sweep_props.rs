@@ -96,7 +96,9 @@ proptest! {
         let cache = ArtifactCache::new();
 
         let original = cache.get_or_parse(&deck, Some(&cons)).expect("parse deck");
-        prop_assert_eq!(original.content_hash(), eplace::circuit_content_hash(&circuit));
+        let mut parsed = parser::parse_spice(&deck).expect("parse deck");
+        parser::parse_constraints(&mut parsed, &cons).expect("parse constraints");
+        prop_assert_eq!(original.content_hash(), eplace::circuit_content_hash(&parsed));
 
         // Any width edit must move the hash.
         let edited_deck = deck.replace("W=4.0000", &format!("W={width}.0000"));
