@@ -22,9 +22,10 @@
 //!   *new* overlaps; a cutting-plane loop re-solves with separations for any
 //!   residual overlap until the layout is overlap-free.
 
-use analog_netlist::{AlignKind, Axis, Circuit, Placement};
+use analog_netlist::{Circuit, Placement};
 use placer_mathopt::{ConstraintOp, Model, SolveError, VarId};
 
+use crate::axis;
 use crate::sepplan::{SepEdge, SeparationPlanner};
 use crate::{DetailedConfig, PlaceError};
 
@@ -37,13 +38,6 @@ pub struct DetailedStats {
     pub hpwl: f64,
     /// Bounding-box area of the result (µm²).
     pub area: f64,
-}
-
-/// Which axis an axis-ILP solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SolveAxis {
-    X,
-    Y,
 }
 
 /// The ePlace-A detailed placer.
@@ -179,7 +173,7 @@ impl DetailedPlacer {
         seps_y: &[SepEdge],
     ) -> Result<Placement, PlaceError> {
         // Try a tight chip bound first (fast LPs); relax on infeasibility.
-        let solve = |axis: SolveAxis, seps: &[SepEdge]| -> Result<AxisSolution, PlaceError> {
+        let solve = |axis: usize, seps: &[SepEdge]| -> Result<AxisSolution, PlaceError> {
             match self.solve_axis(circuit, axis, seps, false) {
                 Err(PlaceError::Solve(SolveError::Infeasible)) => {
                     self.solve_axis(circuit, axis, seps, true)
@@ -187,11 +181,11 @@ impl DetailedPlacer {
                 other => other,
             }
         };
-        let sx = solve(SolveAxis::X, seps_x).map_err(|e| {
+        let sx = solve(0, seps_x).map_err(|e| {
             placer_telemetry::vlog!(1, "dp x axis failed: {e}");
             e
         })?;
-        let sy = solve(SolveAxis::Y, seps_y).map_err(|e| {
+        let sy = solve(1, seps_y).map_err(|e| {
             placer_telemetry::vlog!(1, "dp y axis failed: {e}");
             e
         })?;
@@ -203,11 +197,11 @@ impl DetailedPlacer {
         Ok(placement)
     }
 
-    /// Builds and solves the ILP for one axis.
+    /// Builds and solves the ILP for one axis (`0` = x, `1` = y).
     fn solve_axis(
         &self,
         circuit: &Circuit,
-        axis: SolveAxis,
+        axis: usize,
         seps: &[SepEdge],
         relaxed_ub: bool,
     ) -> Result<AxisSolution, PlaceError> {
@@ -215,23 +209,17 @@ impl DetailedPlacer {
         let n = circuit.num_devices();
         let step = cfg.grid_step;
         // Half-extent in grid units, rounded up (legality-preserving).
-        let half: Vec<f64> = circuit
-            .devices()
+        let half: Vec<f64> = axis::half_extents(circuit, axis)
             .iter()
-            .map(|d| {
-                let extent = match axis {
-                    SolveAxis::X => d.width,
-                    SolveAxis::Y => d.height,
-                };
-                (extent / 2.0 / step).ceil()
-            })
+            .map(|h| (h / step).ceil())
             .collect();
         let total_area: f64 = circuit.total_device_area();
-        let w_tilde = (total_area / cfg.zeta).sqrt() / step; // W̃ = H̃ in grid units
-                                                             // Symmetric-pair midpoint constraints can force spreads up to twice
-                                                             // the plain width sum (a chain into the midpoint doubles when
-                                                             // reflected to the far partner); the relaxed retry leaves that full
-                                                             // headroom, the first attempt uses a tight bound for fast LPs.
+        // W̃ = H̃ in grid units.
+        let w_tilde = (total_area / cfg.zeta).sqrt() / step;
+        // Symmetric-pair midpoint constraints can force spreads up to twice
+        // the plain width sum (a chain into the midpoint doubles when
+        // reflected to the far partner); the relaxed retry leaves that full
+        // headroom, the first attempt uses a tight bound for fast LPs.
         let ub_loose = (2.5 * w_tilde)
             .ceil()
             .max(half.iter().sum::<f64>() * 4.0 + 8.0);
@@ -290,141 +278,24 @@ impl DetailedPlacer {
         }
 
         // Flip binaries where useful (4d).
-        let mut flips: Vec<Option<VarId>> = vec![None; n];
-        if cfg.flipping {
-            for (i, d) in circuit.devices().iter().enumerate() {
-                let has_offset_pin = d.pins.iter().any(|p| {
-                    let c = match axis {
-                        SolveAxis::X => p.offset.0 - d.width / 2.0,
-                        SolveAxis::Y => p.offset.1 - d.height / 2.0,
-                    };
-                    c.abs() > 1e-9 && circuit.net(p.net).pins.len() >= 2
-                });
-                if has_offset_pin {
-                    flips[i] = Some(model.add_bin_var(format!("f{i}"), 0.0));
-                }
-            }
-        }
-
-        // Net bounds (4b) and objective Σ(hi − lo). Very-high-degree nets
-        // (> 16 pins, i.e. supply rails on the largest circuits) are
-        // excluded: their bounding boxes span the layout regardless of the
-        // solution, so their rows only bloat the LP (reported HPWL still
-        // counts them).
-        for net in circuit.nets() {
-            if net.pins.len() < 2 || net.pins.len() > 24 {
-                continue;
-            }
-            // Objective contribution weight·(hi − lo): cost −w on lo, +w on hi.
-            // lo is pushed up by its cost but capped by the pin rows; hi is
-            // pushed down by its cost.
-            let lo = model.add_var(format!("lo_{}", net.name), 0.0, f64::INFINITY, -net.weight);
-            let hi = model.add_var(format!("hi_{}", net.name), 0.0, f64::INFINITY, net.weight);
-            for pin in &net.pins {
-                let d = circuit.device(pin.device);
-                let p = &d.pins[pin.pin.index()];
-                let c = match axis {
-                    SolveAxis::X => (p.offset.0 - d.width / 2.0) / step,
-                    SolveAxis::Y => (p.offset.1 - d.height / 2.0) / step,
-                };
-                let x = xs[pin.device.index()];
-                // pinpos = x + c − 2c·f.
-                let mut terms_lo = vec![(lo, 1.0), (x, -1.0)];
-                let mut terms_hi = vec![(x, 1.0), (hi, -1.0)];
-                if let Some(f) = flips[pin.device.index()] {
-                    terms_lo.push((f, 2.0 * c));
-                    terms_hi.push((f, -2.0 * c));
-                }
-                // lo ≤ x + c − 2cf  →  lo − x + 2cf ≤ c.
-                model.add_constraint(terms_lo, ConstraintOp::Le, c);
-                // x + c − 2cf ≤ hi  →  x − hi − 2cf ≤ −c.
-                model.add_constraint(terms_hi, ConstraintOp::Le, -c);
-            }
-        }
-
-        // Separations (4e), directions fixed by the planner (which also
-        // carries the ordering-chain edges of 4i).
-        for &(a, b) in seps {
-            let (i, j) = (a.index(), b.index());
-            let gap = half[i] + half[j];
-            model.add_constraint(vec![(xs[i], 1.0), (xs[j], -1.0)], ConstraintOp::Le, -gap);
-        }
-
-        // Symmetry (4f). Vertical-axis groups act on x; horizontal on y.
-        for g in &circuit.constraints().symmetry_groups {
-            let acts_on_this_axis = matches!(
-                (g.axis, axis),
-                (Axis::Vertical, SolveAxis::X) | (Axis::Horizontal, SolveAxis::Y)
-            );
-            if acts_on_this_axis {
-                let m = model.add_var(format!("axis_{}", g.name), 0.0, f64::INFINITY, 0.0);
-                for &(a, b) in &g.pairs {
-                    model.add_constraint(
-                        vec![(xs[a.index()], 1.0), (xs[b.index()], 1.0), (m, -2.0)],
-                        ConstraintOp::Eq,
-                        0.0,
-                    );
-                }
-                for &s in &g.self_symmetric {
-                    model.add_constraint(
-                        vec![(xs[s.index()], 1.0), (m, -1.0)],
-                        ConstraintOp::Eq,
-                        0.0,
-                    );
-                }
-            } else {
-                // Off-axis: mirrored pairs share the other coordinate.
-                for &(a, b) in &g.pairs {
-                    model.add_constraint(
-                        vec![(xs[a.index()], 1.0), (xs[b.index()], -1.0)],
-                        ConstraintOp::Eq,
-                        0.0,
-                    );
-                }
-            }
-        }
-
-        // Alignment (4g bottom in y, 4h vertical-center in x).
-        for al in &circuit.constraints().alignments {
-            match (al.kind, axis) {
-                (AlignKind::Bottom, SolveAxis::Y) => {
-                    let (i, j) = (al.a.index(), al.b.index());
-                    model.add_constraint(
-                        vec![(xs[i], 1.0), (xs[j], -1.0)],
-                        ConstraintOp::Eq,
-                        half[i] - half[j],
-                    );
-                }
-                (AlignKind::VerticalCenter, SolveAxis::X) => {
-                    model.add_constraint(
-                        vec![(xs[al.a.index()], 1.0), (xs[al.b.index()], -1.0)],
-                        ConstraintOp::Eq,
-                        0.0,
-                    );
-                }
-                _ => {}
-            }
-        }
-
-        let solution = match model.solve_milp(&cfg.milp) {
-            Ok(s) => s,
-            Err(e) => {
-                if placer_telemetry::verbose(1) {
-                    if let Ok((total, rows)) = model.diagnose_infeasibility() {
-                        placer_telemetry::vlog!(
-                            1,
-                            "dp axis infeasibility {total:.4}; violated rows: {rows:?}"
-                        );
-                    }
-                }
-                // DP_DUMP names a file to receive the model for offline
-                // inspection; it is a dump facility, not a print gate.
-                if let Some(path) = std::env::var_os("DP_DUMP") {
-                    let _ = std::fs::write(path, model.dump());
-                }
-                return Err(e.into());
-            }
+        let flips = if cfg.flipping {
+            axis::add_flips(&mut model, circuit, axis)
+        } else {
+            vec![None; n]
         };
+        // Net bounds (4b) and objective Σ(hi − lo). Nets with more than 24
+        // pins (supply rails on the largest circuits) are excluded: their
+        // bounding boxes span the layout regardless of the solution, so
+        // their rows only bloat the LP (reported HPWL still counts them).
+        axis::add_net_rows(&mut model, circuit, axis, &xs, &flips, step, Some(24));
+        // Separations (4e), directions fixed by the planner (which also
+        // carries the ordering-chain edges of 4i), symmetry (4f) and
+        // alignment (4g/4h).
+        axis::add_constraint_rows(&mut model, circuit, axis, &xs, &half, seps);
+
+        let solution = model
+            .solve_milp(&cfg.milp)
+            .inspect_err(|_| axis::log_failure(&model, "dp axis"))?;
         let coords: Vec<f64> = xs.iter().map(|&x| solution.value(x) * step).collect();
         let flip_vals: Vec<bool> = flips
             .iter()

@@ -27,12 +27,12 @@
 //! from-scratch run and serves as the correctness reference.
 
 use crate::artifacts::CircuitArtifacts;
+use crate::axis;
 use crate::checkpoint::Checkpoint;
 use crate::error::PlaceError;
 use crate::placer::{expect_placer, PlaceOutcome, PlaceSolution};
-use crate::sepplan::SeparationPlanner;
-use analog_netlist::{AlignKind, AppliedDelta, Axis, Circuit, DeviceId, NetlistDelta, Placement};
-use placer_mathopt::{ConstraintOp, Model, SolveError, VarId};
+use analog_netlist::{AppliedDelta, Circuit, DeviceId, NetlistDelta, Placement};
+use placer_mathopt::SolveError;
 use std::sync::Arc;
 
 /// Knobs of the incremental re-placement fast path.
@@ -277,105 +277,13 @@ pub fn region_mask(circuit: &Circuit, warm: &Placement, dirty: &[bool], margin: 
     mask
 }
 
-fn axis_extent(circuit: &Circuit, axis: usize, d: DeviceId) -> f64 {
-    let dev = circuit.device(d);
-    if axis == 0 {
-        dev.width
-    } else {
-        dev.height
-    }
-}
-
-fn region_repair_axis(
-    circuit: &Circuit,
-    axis: usize,
-    targets: &[f64],
-    edges: &[(DeviceId, DeviceId)],
-    region: &[bool],
-    pin_cost: f64,
-) -> Result<Vec<f64>, PlaceError> {
-    let n = circuit.num_devices();
-    let mut model = Model::new();
-    let xs: Vec<VarId> = (0..n)
-        .map(|i| {
-            let half = axis_extent(circuit, axis, DeviceId::new(i)) / 2.0;
-            model.add_var(format!("c{i}"), half, f64::INFINITY, 0.0)
-        })
-        .collect();
-    // Displacement |x − target| via two rows per device. Out-of-region
-    // devices pay `pin_cost` per µm, which keeps them glued to the warm
-    // layout unless a constraint forces them to yield.
-    for (i, &x) in xs.iter().enumerate() {
-        let cost = if region[i] { 1.0 } else { pin_cost };
-        let d = model.add_var(format!("d{i}"), 0.0, f64::INFINITY, cost);
-        model.add_constraint(vec![(d, 1.0), (x, -1.0)], ConstraintOp::Ge, -targets[i]);
-        model.add_constraint(vec![(d, 1.0), (x, 1.0)], ConstraintOp::Ge, targets[i]);
-    }
-    for &(a, b) in edges {
-        let gap = (axis_extent(circuit, axis, a) + axis_extent(circuit, axis, b)) / 2.0;
-        model.add_constraint(
-            vec![(xs[a.index()], 1.0), (xs[b.index()], -1.0)],
-            ConstraintOp::Le,
-            -gap,
-        );
-    }
-    for g in &circuit.constraints().symmetry_groups {
-        let on_axis = matches!((g.axis, axis), (Axis::Vertical, 0) | (Axis::Horizontal, 1));
-        if on_axis {
-            let m = model.add_var(format!("m_{}", g.name), 0.0, f64::INFINITY, 0.0);
-            for &(a, b) in &g.pairs {
-                model.add_constraint(
-                    vec![(xs[a.index()], 1.0), (xs[b.index()], 1.0), (m, -2.0)],
-                    ConstraintOp::Eq,
-                    0.0,
-                );
-            }
-            for &s in &g.self_symmetric {
-                model.add_constraint(vec![(xs[s.index()], 1.0), (m, -1.0)], ConstraintOp::Eq, 0.0);
-            }
-        } else {
-            for &(a, b) in &g.pairs {
-                model.add_constraint(
-                    vec![(xs[a.index()], 1.0), (xs[b.index()], -1.0)],
-                    ConstraintOp::Eq,
-                    0.0,
-                );
-            }
-        }
-    }
-    for al in &circuit.constraints().alignments {
-        match (al.kind, axis) {
-            (AlignKind::Bottom, 1) => {
-                let ha = axis_extent(circuit, 1, al.a) / 2.0;
-                let hb = axis_extent(circuit, 1, al.b) / 2.0;
-                model.add_constraint(
-                    vec![(xs[al.a.index()], 1.0), (xs[al.b.index()], -1.0)],
-                    ConstraintOp::Eq,
-                    ha - hb,
-                );
-            }
-            (AlignKind::VerticalCenter, 0) => {
-                model.add_constraint(
-                    vec![(xs[al.a.index()], 1.0), (xs[al.b.index()], -1.0)],
-                    ConstraintOp::Eq,
-                    0.0,
-                );
-            }
-            _ => {}
-        }
-    }
-    let sol = model.solve_lp()?;
-    Ok(xs.iter().map(|&x| sol.value(x)).collect())
-}
-
 /// Region-bounded constraint repair: minimal **weighted** displacement
 /// from `target` subject to the exact constraints and `target`'s relative
 /// orders, where out-of-region devices pay [`EcoConfig::pin_cost`] per µm
 /// of movement.
 ///
-/// This is the ECO variant of the annealer's repair LP: same rows, but
-/// the objective pins the untouched part of the layout instead of
-/// treating every device equally.
+/// This is [`axis::repair`] with per-device costs from the region: the
+/// annealer's constraint repair is the same LP with every device at cost 1.
 ///
 /// # Errors
 ///
@@ -387,29 +295,15 @@ pub fn region_repair(
     region: &[bool],
     pin_cost: f64,
 ) -> Result<Placement, PlaceError> {
-    repair_with_orders_of(circuit, target, target, region, pin_cost)
+    axis::repair(circuit, target, target, &region_costs(region, pin_cost))
 }
 
-/// [`region_repair`] with the relative orders taken from `orders`
-/// instead of from `target`.
-fn repair_with_orders_of(
-    circuit: &Circuit,
-    target: &Placement,
-    orders: &Placement,
-    region: &[bool],
-    pin_cost: f64,
-) -> Result<Placement, PlaceError> {
-    let mut planner = SeparationPlanner::new(circuit);
-    planner.extend_all_pairs(circuit, orders);
-    let tx: Vec<f64> = target.positions.iter().map(|p| p.0).collect();
-    let ty: Vec<f64> = target.positions.iter().map(|p| p.1).collect();
-    let xs = region_repair_axis(circuit, 0, &tx, planner.x_edges(), region, pin_cost)?;
-    let ys = region_repair_axis(circuit, 1, &ty, planner.y_edges(), region, pin_cost)?;
-    let mut placement = target.clone();
-    for i in 0..circuit.num_devices() {
-        placement.positions[i] = (xs[i], ys[i]);
-    }
-    Ok(placement)
+/// Displacement cost per device: 1 inside the region, `pin_cost` outside.
+fn region_costs(region: &[bool], pin_cost: f64) -> Vec<f64> {
+    region
+        .iter()
+        .map(|&inside| if inside { 1.0 } else { pin_cost })
+        .collect()
 }
 
 /// Blends the refined coordinates into the warm layout and re-legalizes
@@ -445,7 +339,7 @@ pub fn finish_region(
     }
     match region_repair(circuit, &blended, region, pin_cost) {
         Err(PlaceError::Solve(SolveError::Infeasible)) => {
-            repair_with_orders_of(circuit, &blended, warm, region, pin_cost)
+            axis::repair(circuit, &blended, warm, &region_costs(region, pin_cost))
         }
         other => other,
     }

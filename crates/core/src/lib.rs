@@ -42,6 +42,7 @@
 
 mod area;
 mod artifacts;
+pub mod axis;
 mod budget;
 mod checkpoint;
 mod config;

@@ -37,7 +37,6 @@ mod evaluator;
 pub mod island;
 mod pipeline;
 mod proptests;
-mod repair;
 mod seqpair;
 mod shared;
 
@@ -49,6 +48,5 @@ pub use anneal::{
 pub use evaluator::{EvalTables, EvaluatorStats, MoveEvaluator};
 pub use island::{Block, BlockModel};
 pub use pipeline::{SaPlacer, SaResult};
-pub use repair::repair_placement;
 pub use seqpair::{PackScratch, SequencePair};
 pub use shared::SaShared;

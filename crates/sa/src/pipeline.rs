@@ -1,6 +1,6 @@
 //! End-to-end SA placer: anneal, then repair constraints exactly with one
-//! LP pass (wirelength-minimizing, outline-bounded), preserving the packed
-//! topology. This mirrors how practical SA analog placers post-process the
+//! minimal-displacement LP per axis ([`eplace::axis::repair`]), preserving
+//! the packed topology. This mirrors how practical SA analog placers post-process the
 //! best annealed floorplan into an exactly-symmetric layout.
 
 use std::time::Instant;
@@ -16,7 +16,6 @@ use crate::anneal::{
     anneal, anneal_budgeted_with, AnnealRun, ChainCheckpoint, ChainEntry, PerfCost, SaCheckpoint,
     SaConfig, SaCost, SaState,
 };
-use crate::repair::repair_placement;
 use crate::seqpair::SequencePair;
 use crate::shared::SaShared;
 
@@ -92,10 +91,15 @@ impl SaPlacer {
         static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("sa_repair");
         let _span = SPAN.enter();
         let t1 = Instant::now();
-        // The annealed packing is overlap-free but its symmetry is only
-        // penalty-tight; one minimal-displacement LP pass snaps the
-        // constraints exactly without re-optimizing wirelength.
-        let placement = repair_placement(circuit, &annealed.placement)?;
+        // The annealed packing is overlap-free but its symmetry, alignment
+        // and ordering are only penalty-tight. One LP per axis minimizes
+        // the total displacement (every device at cost 1) subject to the
+        // exact constraints and the packing's relative orders. It snaps the
+        // constraints without re-optimizing wirelength, which would credit
+        // SA with an analytical post-pass.
+        let cost = vec![1.0; circuit.num_devices()];
+        let p = &annealed.placement;
+        let placement = eplace::axis::repair(circuit, p, p, &cost)?;
         let repair_seconds = t1.elapsed().as_secs_f64();
         let hpwl = placement.hpwl(circuit);
         let area = placement.area(circuit);
@@ -473,6 +477,58 @@ mod tests {
             moves_per_temperature: 40,
             ..SaConfig::default()
         })
+    }
+
+    #[test]
+    fn repair_produces_exact_constraints() {
+        let c = testcases::cc_ota();
+        let result = anneal(
+            &c,
+            &SaConfig {
+                temperatures: 20,
+                moves_per_temperature: 30,
+                ..SaConfig::default()
+            },
+            None,
+        );
+        let p = &result.placement;
+        let repaired = eplace::axis::repair(&c, p, p, &vec![1.0; c.num_devices()]).unwrap();
+        assert!(repaired.overlapping_pairs(&c, 1e-6).is_empty());
+        assert!(repaired.symmetry_violation(&c) < 1e-6);
+        assert!(repaired.alignment_violation(&c) < 1e-6);
+        assert!(repaired.ordering_violation(&c) < 1e-6);
+    }
+
+    #[test]
+    fn repair_moves_devices_minimally_when_already_legal() {
+        // A placement that already satisfies everything should barely move.
+        let c = testcases::adder();
+        let result = anneal(
+            &c,
+            &SaConfig {
+                temperatures: 40,
+                moves_per_temperature: 60,
+                penalty_weight: 500.0,
+                ..SaConfig::default()
+            },
+            None,
+        );
+        let p = &result.placement;
+        let repaired = eplace::axis::repair(&c, p, p, &vec![1.0; c.num_devices()]).unwrap();
+        let displacement: f64 = result
+            .placement
+            .positions
+            .iter()
+            .zip(&repaired.positions)
+            .map(|(a, b)| (a.0 - b.0).abs() + (a.1 - b.1).abs())
+            .sum();
+        // Heavy penalties drive the annealed violation near zero, so the
+        // repair displacement should be small relative to the layout size.
+        let side = c.total_device_area().sqrt();
+        assert!(
+            displacement < 4.0 * side,
+            "displacement {displacement} too large vs side {side}"
+        );
     }
 
     #[test]

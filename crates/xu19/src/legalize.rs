@@ -4,8 +4,8 @@
 //! chip outline fixed to LP #1's result. No device flipping — the paper
 //! names flipping as one of ePlace-A's advantages (Table IV).
 
-use analog_netlist::{AlignKind, Axis, Circuit, DeviceId, Placement};
-use eplace::{PlaceError, SepEdge, SeparationPlanner};
+use analog_netlist::{Circuit, Placement};
+use eplace::{axis, PlaceError, SepEdge, SeparationPlanner};
 use placer_mathopt::{ConstraintOp, Model, SolveError, VarId};
 
 /// Statistics from the two LP stages.
@@ -21,87 +21,24 @@ pub struct LegalizeStats {
     pub rounds: usize,
 }
 
-fn axis_extent(circuit: &Circuit, axis: usize, d: DeviceId) -> f64 {
-    let dev = circuit.device(d);
-    if axis == 0 {
-        dev.width
-    } else {
-        dev.height
-    }
-}
-
-/// Builds the constraint rows shared by both LP stages for one axis.
-/// Returns the coordinate variables.
-fn add_axis_constraints(
+/// Builds the rows shared by both LP stages for one axis: coordinate
+/// columns, the chip rows, then the separation, symmetry and alignment
+/// rows. Returns the coordinate columns.
+fn add_axis_rows(
     model: &mut Model,
     circuit: &Circuit,
     axis: usize,
     seps: &[SepEdge],
     chip: VarId,
 ) -> Vec<VarId> {
-    let n = circuit.num_devices();
-    let xs: Vec<VarId> = (0..n)
-        .map(|i| {
-            let half = axis_extent(circuit, axis, DeviceId::new(i)) / 2.0;
-            model.add_var(format!("c{axis}_{i}"), half, f64::INFINITY, 0.0)
-        })
+    let half = axis::half_extents(circuit, axis);
+    let xs: Vec<VarId> = (0..half.len())
+        .map(|i| model.add_var(format!("c{axis}_{i}"), half[i], f64::INFINITY, 0.0))
         .collect();
-    for (i, &x) in xs.iter().enumerate() {
-        let half = axis_extent(circuit, axis, DeviceId::new(i)) / 2.0;
-        model.add_constraint(vec![(x, 1.0), (chip, -1.0)], ConstraintOp::Le, -half);
+    for (&x, &h) in xs.iter().zip(&half) {
+        model.add_constraint(vec![(x, 1.0), (chip, -1.0)], ConstraintOp::Le, -h);
     }
-    for &(a, b) in seps {
-        let (i, j) = (a.index(), b.index());
-        let gap = (axis_extent(circuit, axis, a) + axis_extent(circuit, axis, b)) / 2.0;
-        model.add_constraint(vec![(xs[i], 1.0), (xs[j], -1.0)], ConstraintOp::Le, -gap);
-    }
-    // Symmetry.
-    for g in &circuit.constraints().symmetry_groups {
-        let on_axis = matches!((g.axis, axis), (Axis::Vertical, 0) | (Axis::Horizontal, 1));
-        if on_axis {
-            let m = model.add_var(format!("m{axis}_{}", g.name), 0.0, f64::INFINITY, 0.0);
-            for &(a, b) in &g.pairs {
-                model.add_constraint(
-                    vec![(xs[a.index()], 1.0), (xs[b.index()], 1.0), (m, -2.0)],
-                    ConstraintOp::Eq,
-                    0.0,
-                );
-            }
-            for &s in &g.self_symmetric {
-                model.add_constraint(vec![(xs[s.index()], 1.0), (m, -1.0)], ConstraintOp::Eq, 0.0);
-            }
-        } else {
-            for &(a, b) in &g.pairs {
-                model.add_constraint(
-                    vec![(xs[a.index()], 1.0), (xs[b.index()], -1.0)],
-                    ConstraintOp::Eq,
-                    0.0,
-                );
-            }
-        }
-    }
-    // Alignment.
-    for al in &circuit.constraints().alignments {
-        match (al.kind, axis) {
-            (AlignKind::Bottom, 1) => {
-                let ha = axis_extent(circuit, 1, al.a) / 2.0;
-                let hb = axis_extent(circuit, 1, al.b) / 2.0;
-                model.add_constraint(
-                    vec![(xs[al.a.index()], 1.0), (xs[al.b.index()], -1.0)],
-                    ConstraintOp::Eq,
-                    ha - hb,
-                );
-            }
-            (AlignKind::VerticalCenter, 0) => {
-                model.add_constraint(
-                    vec![(xs[al.a.index()], 1.0), (xs[al.b.index()], -1.0)],
-                    ConstraintOp::Eq,
-                    0.0,
-                );
-            }
-            _ => {}
-        }
-    }
+    axis::add_constraint_rows(model, circuit, axis, &xs, &half, seps);
     xs
 }
 
@@ -111,21 +48,10 @@ fn compact_axis(circuit: &Circuit, axis: usize, seps: &[SepEdge]) -> Result<f64,
     let _span = SPAN.enter();
     let mut model = Model::new();
     let chip = model.add_var("chip", 0.0, f64::INFINITY, 1.0);
-    let _ = add_axis_constraints(&mut model, circuit, axis, seps, chip);
-    let sol = model.solve_lp().inspect_err(|_| {
-        if placer_telemetry::verbose(1) {
-            if let Ok((total, rows)) = model.diagnose_infeasibility() {
-                placer_telemetry::vlog!(
-                    1,
-                    "xu19 compact axis {axis}: infeasibility {total:.3}, rows {rows:?}"
-                );
-                if placer_telemetry::verbose(3) {
-                    // Level 3 turns on dump files for offline inspection.
-                    let _ = std::fs::write("/tmp/xu19_model.txt", model.dump());
-                }
-            }
-        }
-    })?;
+    let _ = add_axis_rows(&mut model, circuit, axis, seps, chip);
+    let sol = model
+        .solve_lp()
+        .inspect_err(|_| axis::log_failure(&model, &format!("xu19 compact axis {axis}")))?;
     Ok(sol.value(chip))
 }
 
@@ -138,25 +64,8 @@ fn wirelength_axis(
 ) -> Result<Vec<f64>, PlaceError> {
     let mut model = Model::new();
     let chip = model.add_var("chip", 0.0, chip_extent, 0.0);
-    let xs = add_axis_constraints(&mut model, circuit, axis, seps, chip);
-    for net in circuit.nets() {
-        if net.pins.len() < 2 {
-            continue;
-        }
-        let lo = model.add_var(format!("lo_{}", net.name), 0.0, f64::INFINITY, -net.weight);
-        let hi = model.add_var(format!("hi_{}", net.name), 0.0, f64::INFINITY, net.weight);
-        for p in &net.pins {
-            let d = circuit.device(p.device);
-            let off = if axis == 0 {
-                d.pins[p.pin.index()].offset.0 - d.width / 2.0
-            } else {
-                d.pins[p.pin.index()].offset.1 - d.height / 2.0
-            };
-            let x = xs[p.device.index()];
-            model.add_constraint(vec![(lo, 1.0), (x, -1.0)], ConstraintOp::Le, off);
-            model.add_constraint(vec![(x, 1.0), (hi, -1.0)], ConstraintOp::Le, -off);
-        }
-    }
+    let xs = add_axis_rows(&mut model, circuit, axis, seps, chip);
+    axis::add_net_rows(&mut model, circuit, axis, &xs, &[], 1.0, None);
     let sol = model.solve_lp()?;
     Ok(xs.iter().map(|&x| sol.value(x)).collect())
 }
