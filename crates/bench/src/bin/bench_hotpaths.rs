@@ -761,17 +761,15 @@ fn main() {
     }
 
     // Host/config fingerprint: timings are only comparable between runs
-    // that share the build profile and feature set; the thread count and
-    // host matter less (the gate compares machine-relative ratios) but are
-    // recorded so drifts can be explained.
+    // that share the build profile; the thread count and host matter less
+    // (the gate compares machine-relative ratios) but are recorded so
+    // drifts can be explained.
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"quick\": {quick},\n  \"os\": \"{}\",\n  \"arch\": \"{}\",\n  \"profile\": \"{}\",\n  \"parallel\": {},\n  \"telemetry\": {},\n  \"threads\": {},\n  \"simd_detected\": \"{}\",\n  \"simd_selected\": \"{}\",\n",
+        "  \"quick\": {quick},\n  \"os\": \"{}\",\n  \"arch\": \"{}\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"simd_detected\": \"{}\",\n  \"simd_selected\": \"{}\",\n",
         std::env::consts::OS,
         std::env::consts::ARCH,
         if cfg!(debug_assertions) { "debug" } else { "release" },
-        cfg!(feature = "parallel"),
-        cfg!(feature = "telemetry"),
         placer_parallel::max_threads(),
         placer_simd::detected().name(),
         placer_simd::selected().name()
@@ -840,22 +838,20 @@ fn main() {
         let committed = parse_speedups(&baseline);
         let current = parse_speedups(&json);
         let mut failed = false;
-        // Fingerprint gate: comparing a debug or differently-featured run
-        // against the committed baseline would produce meaningless verdicts,
-        // so mismatches there fail loudly. A thread-count difference only
+        // Fingerprint gate: comparing a debug run against the committed
+        // release baseline would produce meaningless verdicts, so a
+        // mismatch there fails loudly. A thread-count difference only
         // warns — the checked quantities are per-kernel ratios.
-        for key in ["profile", "parallel", "telemetry"] {
-            let want = parse_scalar(&baseline, key);
-            let got = parse_scalar(&json, key);
-            if want.is_some() && want != got {
-                println!(
-                    "check: FINGERPRINT MISMATCH on {key}: baseline {}, this run {} — \
-                     rebuild to match the baseline or regenerate it",
-                    want.unwrap_or("<missing>"),
-                    got.unwrap_or("<missing>")
-                );
-                failed = true;
-            }
+        let want = parse_scalar(&baseline, "profile");
+        let got = parse_scalar(&json, "profile");
+        if want.is_some() && want != got {
+            println!(
+                "check: FINGERPRINT MISMATCH on profile: baseline {}, this run {} — \
+                 rebuild to match the baseline or regenerate it",
+                want.unwrap_or("<missing>"),
+                got.unwrap_or("<missing>")
+            );
+            failed = true;
         }
         if let (Some(want), Some(got)) = (
             parse_scalar(&baseline, "threads"),

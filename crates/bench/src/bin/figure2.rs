@@ -5,14 +5,13 @@
 
 use analog_netlist::Circuit;
 use eplace::{EPlaceA, PlacerConfig};
-use placer_bench::trace::{require_tracing_or_exit, trace_flag, with_trace};
+use placer_bench::trace::{trace_flag, with_trace};
 use placer_bench::{paper_circuits, print_row, run_placer};
 
 /// `--trace[=CIRCUIT]`: one circuit (smallest by default), the ablation's
 /// two ePlace-A settings traced into separate files, then exit. The traces
 /// carry per-Nesterov-iteration `gp_iter` events (overflow, HPWL, step, λ).
 fn traced_run(filter: Option<String>) {
-    require_tracing_or_exit();
     let circuits = paper_circuits();
     let circuit = match &filter {
         Some(name) => circuits

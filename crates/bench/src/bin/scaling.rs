@@ -11,14 +11,13 @@
 
 use analog_netlist::testcases::scalable_array;
 use eplace::{EPlaceA, PlacerConfig};
-use placer_bench::trace::{require_tracing_or_exit, trace_flag, with_trace};
+use placer_bench::trace::{trace_flag, with_trace};
 use placer_bench::{print_row, run_placer};
 use placer_sa::{SaConfig, SaPlacer};
 
 /// `--trace`: one mid-size array (4 stages), both placers traced serially,
 /// then exit. `--trace=N` picks the stage count.
 fn traced_run(filter: Option<String>) {
-    require_tracing_or_exit();
     let stages: usize = match &filter {
         Some(s) => s
             .parse()

@@ -6,7 +6,7 @@
 //! beats SA on area (≈1.11×) and HPWL (≈1.14×) while \[11\] is *worse* than
 //! SA on quality (≈1.25×/1.24×).
 
-use placer_bench::trace::{require_tracing_or_exit, trace_flag, with_trace};
+use placer_bench::trace::{trace_flag, with_trace};
 use placer_bench::{
     geomean_ratio, paper_circuits, print_row, run_eplace_a, run_sa, run_xu19, RunMetrics,
 };
@@ -14,7 +14,6 @@ use placer_bench::{
 /// `--trace[=CIRCUIT]`: run all three placers serially on one circuit
 /// (the smallest by default), each under its own trace sink, and exit.
 fn traced_run(filter: Option<String>) {
-    require_tracing_or_exit();
     let circuits = paper_circuits();
     let circuit = match &filter {
         Some(name) => circuits

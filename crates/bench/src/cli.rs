@@ -20,10 +20,7 @@ use placer_jobs::JobStatus;
 use placer_obs::metrics::MetricsSnapshot;
 use placer_obs::progress::{self, ProgressMode};
 
-use crate::trace::{
-    finish_batch_trace, install_batch_trace, parse_progress_mode, require_progress_or_exit,
-    require_tracing_or_exit, TRACE_DIR,
-};
+use crate::trace::{finish_batch_trace, install_batch_trace, parse_progress_mode, TRACE_DIR};
 
 /// Takes the next argument as `flag`'s value.
 ///
@@ -179,19 +176,14 @@ pub struct ObsSession {
 }
 
 impl ObsSession {
-    /// Validates the requested observers (exiting with a rebuild hint
-    /// when the build lacks `telemetry`, like the flags always have) and
-    /// installs them. The trace default is `results/traces/<cmd>.jsonl`.
+    /// Installs the requested observers. The trace default is
+    /// `results/traces/<cmd>.jsonl`.
     ///
     /// # Errors
     ///
     /// Returns a message when the progress observer cannot install.
     pub fn start(cmd: &str, opts: &CommonOpts) -> Result<ObsSession, String> {
-        if opts.progress.is_some() {
-            require_progress_or_exit();
-        }
         let trace_path = opts.trace.as_ref().map(|p| {
-            require_tracing_or_exit();
             PathBuf::from(
                 p.clone()
                     .unwrap_or_else(|| format!("{TRACE_DIR}/{cmd}.jsonl")),

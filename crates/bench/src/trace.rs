@@ -1,15 +1,11 @@
 //! Convergence-trace capture for the benchmark binaries.
 //!
 //! A traced run installs one JSONL sink per `(circuit, placer)` pair under
-//! [`TRACE_DIR`], stamps it with a run manifest (seed, thread count, feature
-//! flags, build profile), runs the placer, then drains the per-thread event
-//! rings and the counter/span/histogram snapshots into the file. The
+//! [`TRACE_DIR`], stamps it with a run manifest (seed, thread count, SIMD
+//! backend, build profile), runs the placer, then drains the per-thread
+//! event rings and the counter/span/histogram snapshots into the file. The
 //! `trace_report` binary folds such a file back into a summary table using
 //! [`placer_obs::json::parse_object`].
-//!
-//! Tracing requires the `telemetry` build feature; without it the binaries
-//! refuse `--trace` with a pointed rebuild hint instead of silently writing
-//! empty files.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -19,12 +15,6 @@ use placer_telemetry::Field;
 
 /// Where traced bench runs write their JSONL files.
 pub const TRACE_DIR: &str = "results/traces";
-
-/// True when this binary was built with the `telemetry` feature, i.e. the
-/// instrumentation in the placer crates is compiled in.
-pub fn tracing_compiled() -> bool {
-    cfg!(feature = "telemetry")
-}
 
 /// Extracts a `--trace` / `--trace=CIRCUIT` flag from the argument list.
 ///
@@ -40,30 +30,6 @@ pub fn trace_flag(args: &[String]) -> Option<Option<String>> {
         }
     }
     None
-}
-
-/// Exits with a rebuild hint when `--trace` was requested but the binary
-/// was built without the `telemetry` feature.
-pub fn require_tracing_or_exit() {
-    if !tracing_compiled() {
-        eprintln!(
-            "error: --trace needs instrumentation that is compiled out of this binary.\n\
-             Rebuild with: cargo run --release -p placer-bench --features telemetry --bin <bin> -- --trace"
-        );
-        std::process::exit(2);
-    }
-}
-
-/// Exits with a rebuild hint when `--progress` was requested but the live
-/// progress machinery is compiled out of this binary.
-pub fn require_progress_or_exit() {
-    if !placer_obs::progress_compiled() {
-        eprintln!(
-            "error: --progress needs instrumentation that is compiled out of this binary.\n\
-             Rebuild with: cargo run --release -p placer-bench --features telemetry --bin <bin> -- --progress"
-        );
-        std::process::exit(2);
-    }
 }
 
 /// Parses a `--progress` / `--progress=jsonl|human` argument value.
@@ -105,8 +71,6 @@ pub fn with_trace<T>(circuit: &str, placer: &str, seed: u64, f: impl FnOnce() ->
         ("seed", Field::U(seed)),
         ("threads", Field::U(placer_parallel::max_threads() as u64)),
         ("simd", Field::S(placer_simd::selected().name())),
-        ("parallel", Field::B(cfg!(feature = "parallel"))),
-        ("telemetry", Field::B(tracing_compiled())),
         (
             "profile",
             Field::S(if cfg!(debug_assertions) {
@@ -150,8 +114,6 @@ pub fn install_batch_trace(cmd: &str, path: &Path) {
         ("cmd", Field::S(cmd)),
         ("threads", Field::U(placer_parallel::max_threads() as u64)),
         ("simd", Field::S(placer_simd::selected().name())),
-        ("parallel", Field::B(cfg!(feature = "parallel"))),
-        ("telemetry", Field::B(tracing_compiled())),
         (
             "profile",
             Field::S(if cfg!(debug_assertions) {

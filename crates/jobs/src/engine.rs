@@ -240,8 +240,9 @@ pub struct JobEngine {
 }
 
 impl JobEngine {
-    /// Runs every spec (concurrently when the `parallel` feature is on)
-    /// and returns one report per spec, in order.
+    /// Runs every spec (concurrently, up to
+    /// [`placer_parallel::max_threads`] at a time) and returns one report
+    /// per spec, in order.
     pub fn run(&self, specs: &[JobSpec]) -> Vec<JobReport> {
         placer_parallel::par_map(specs.len(), |i| self.run_job(&specs[i]))
     }

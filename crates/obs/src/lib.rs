@@ -21,11 +21,10 @@
 //! * [`json`] — the flat-JSON line parser shared by every tool that reads
 //!   trace, report, progress, or ledger files.
 //!
-//! Like the telemetry crate, the hot half has two personalities: with the
-//! `enabled` feature the progress pipeline is live; without it progress
-//! installation is an inert no-op (the binaries refuse `--progress` with a
-//! rebuild hint). Metrics and the ledger are always compiled — against
-//! no-op registries they simply produce empty snapshots.
+//! Like the telemetry crate, the progress pipeline is inert until
+//! installed: its tap only runs while a telemetry observer is registered,
+//! and that happens only between [`progress::install`] (or one of its
+//! variants) and [`progress::uninstall`].
 //!
 //! The PR-3 contracts carry over: nothing here perturbs solver arithmetic
 //! (bit-identity of observed vs unobserved runs), and the recording side of
@@ -35,9 +34,3 @@ pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod progress;
-
-/// True when this build carries the live progress pipeline (the `enabled`
-/// feature, forwarded from the workspace `telemetry` feature).
-pub fn progress_compiled() -> bool {
-    cfg!(feature = "enabled")
-}

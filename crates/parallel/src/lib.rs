@@ -15,11 +15,11 @@
 //! placement regardless of parallelism (the determinism policy in
 //! DESIGN.md).
 //!
-//! Threading is compile-time gated by the `threads` feature (downstream
-//! crates re-export it as `parallel`) and runtime-capped by
-//! [`set_max_threads`] / the `PLACER_THREADS` environment variable.
-//! Spawning is skipped entirely when the effective thread count is 1 or
-//! the work is a single block, so small problems never pay spawn latency.
+//! Threading is runtime-capped by [`set_max_threads`] / the
+//! `PLACER_THREADS` environment variable; `PLACER_THREADS=1` runs every
+//! helper inline on the calling thread. Spawning is skipped entirely when
+//! the effective thread count is 1 or the work is a single block, so
+//! small problems never pay spawn latency.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,12 +42,8 @@ pub fn set_max_threads(n: usize) {
 ///
 /// Resolution order: [`set_max_threads`] override, then the
 /// `PLACER_THREADS` environment variable, then
-/// `std::thread::available_parallelism()`. Always 1 when the `threads`
-/// feature is disabled.
+/// `std::thread::available_parallelism()`.
 pub fn max_threads() -> usize {
-    if !cfg!(feature = "threads") {
-        return 1;
-    }
     let forced = MAX_THREADS.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;

@@ -1,12 +1,10 @@
 //! Verifies the fan-out actually reaches distinct OS worker threads when
-//! threads are requested — guarding against a dispatch bug where the
-//! `parallel` feature compiles in but every helper silently runs serial
-//! (the failure mode behind a 1.00× "speedup" in the benchmarks).
+//! threads are requested — guarding against a dispatch bug where every
+//! helper silently runs serial (the failure mode behind a 1.00× "speedup"
+//! in the benchmarks).
 //!
 //! Runs as its own binary: the thread-count override is process-global, so
 //! sharing a binary with other tests that set it would race.
-
-#![cfg(feature = "threads")]
 
 use std::collections::HashSet;
 use std::sync::Mutex;

@@ -145,10 +145,8 @@ pub struct Client {
 impl Client {
     /// Connects and completes the `hello` → `welcome` handshake.
     /// `stream: true` asks the server to forward progress frames for this
-    /// connection's jobs (answered with a
-    /// [`ErrorCode::ProgressUnavailable`] error first when the daemon was
-    /// built without telemetry — that error is returned here, not
-    /// deferred).
+    /// connection's jobs. An error frame in place of the welcome is
+    /// returned here, not deferred.
     ///
     /// # Errors
     ///

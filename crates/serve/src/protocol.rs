@@ -54,9 +54,6 @@ pub enum ErrorCode {
     QuotaExceeded,
     /// The server is draining; no new work is admitted.
     Draining,
-    /// Progress streaming was requested but the daemon was built without
-    /// the `telemetry` feature.
-    ProgressUnavailable,
     /// A duplicate job id is still in flight on this connection.
     DuplicateId,
 }
@@ -72,7 +69,6 @@ impl ErrorCode {
             ErrorCode::QueueFull => "queue_full",
             ErrorCode::QuotaExceeded => "quota_exceeded",
             ErrorCode::Draining => "draining",
-            ErrorCode::ProgressUnavailable => "progress_unavailable",
             ErrorCode::DuplicateId => "duplicate_id",
         }
     }
@@ -87,7 +83,6 @@ impl ErrorCode {
             "queue_full" => ErrorCode::QueueFull,
             "quota_exceeded" => ErrorCode::QuotaExceeded,
             "draining" => ErrorCode::Draining,
-            "progress_unavailable" => ErrorCode::ProgressUnavailable,
             "duplicate_id" => ErrorCode::DuplicateId,
             _ => return None,
         })
@@ -499,7 +494,6 @@ mod tests {
             ErrorCode::QueueFull,
             ErrorCode::QuotaExceeded,
             ErrorCode::Draining,
-            ErrorCode::ProgressUnavailable,
             ErrorCode::DuplicateId,
         ] {
             assert_eq!(ErrorCode::parse(code.as_str()), Some(code));

@@ -183,7 +183,7 @@ impl Server {
         // The fan-out needs a live reporter thread. Respect a sink the
         // embedding binary already installed (e.g. `serve --progress`);
         // otherwise run silent so the daemon doesn't spam stderr.
-        if placer_obs::progress_compiled() && !progress::installed() {
+        if !progress::installed() {
             let _ = progress::install_silent();
         }
 
@@ -396,36 +396,26 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Request::Hello { tenant: t, stream } => {
                 tenant = t;
                 if stream {
-                    if placer_obs::progress_compiled() {
-                        streaming = true;
-                        let sub = Arc::new(progress::subscribe());
-                        let stop = Arc::new(AtomicBool::new(false));
-                        let fwd_sub = sub.clone();
-                        let fwd_out = out.clone();
-                        let fwd_stop = stop.clone();
-                        let handle = std::thread::Builder::new()
-                            .name("serve-progress".into())
-                            .spawn(move || {
-                                while !fwd_stop.load(Ordering::Acquire) {
-                                    if let Some(frame) =
-                                        fwd_sub.recv_timeout(Duration::from_millis(100))
-                                    {
-                                        fwd_out.send_line(&frame);
-                                    }
+                    streaming = true;
+                    let sub = Arc::new(progress::subscribe());
+                    let stop = Arc::new(AtomicBool::new(false));
+                    let fwd_sub = sub.clone();
+                    let fwd_out = out.clone();
+                    let fwd_stop = stop.clone();
+                    let handle = std::thread::Builder::new()
+                        .name("serve-progress".into())
+                        .spawn(move || {
+                            while !fwd_stop.load(Ordering::Acquire) {
+                                if let Some(frame) =
+                                    fwd_sub.recv_timeout(Duration::from_millis(100))
+                                {
+                                    fwd_out.send_line(&frame);
                                 }
-                            });
-                        if let Ok(handle) = handle {
-                            subscription = Some(sub);
-                            forwarder = Some((stop, handle));
-                        }
-                    } else {
-                        out.send_line(
-                            &ProtocolError::new(
-                                ErrorCode::ProgressUnavailable,
-                                "daemon built without the `telemetry` feature",
-                            )
-                            .to_line(),
-                        );
+                            }
+                        });
+                    if let Ok(handle) = handle {
+                        subscription = Some(sub);
+                        forwarder = Some((stop, handle));
                     }
                 }
                 out.send_line(&welcome_frame(placer_simd::selected().name()));

@@ -342,9 +342,6 @@ fn drain_shutdown_delivers_every_admitted_job_first() {
     server.shutdown();
 }
 
-/// Progress streaming needs the telemetry feature compiled in; without
-/// it the daemon answers `hello(stream)` with a structured error.
-#[cfg(feature = "telemetry")]
 #[test]
 fn streaming_connections_receive_progress_for_their_jobs_only() {
     let server = start_server("stream", 1, 16, 16);
@@ -372,20 +369,6 @@ fn streaming_connections_receive_progress_for_their_jobs_only() {
             frame.contains(r#""job":"streamed""#) || !frame.contains(r#""job":"#),
             "streamed frame for a foreign job: {frame}"
         );
-    }
-    server.shutdown();
-}
-
-#[cfg(not(feature = "telemetry"))]
-#[test]
-fn streaming_without_telemetry_is_a_structured_error() {
-    let server = start_server("nostream", 1, 16, 16);
-    match Client::connect(server.addr(), "tenant", true) {
-        Err(ClientError::Protocol(e)) => {
-            assert_eq!(e.code, ErrorCode::ProgressUnavailable);
-        }
-        Err(other) => panic!("expected progress-unavailable, got {other}"),
-        Ok(_) => panic!("streaming hello should fail without telemetry"),
     }
     server.shutdown();
 }

@@ -7,9 +7,9 @@
 //!
 //! - [`SerialBackend`] — the reference: runs groups one after another.
 //! - [`ParallelBackend`] — fans groups out over
-//!   [`placer_parallel::par_map`], which preserves input order; without
-//!   the `parallel` feature (or with one worker) it degrades gracefully
-//!   to a serial loop, so results are identical either way.
+//!   [`placer_parallel::par_map`], which preserves input order; with one
+//!   worker it degrades gracefully to a serial loop, so results are
+//!   identical either way.
 //!
 //! [`auto_backend`] picks the parallel backend when the worker pool has
 //! more than one thread, the serial reference otherwise.

@@ -1,28 +1,23 @@
-//! Zero-overhead instrumentation for the placement workspace.
+//! Instrumentation for the placement workspace.
 //!
-//! The crate has two personalities selected at compile time:
+//! The crate provides scoped timing spans with thread-aware nesting,
+//! monotonic counters, log-scale histograms, and a buffered JSONL event
+//! sink. The hot path is allocation-free after warm-up: events go to
+//! per-thread fixed-capacity buffers that instrumented code drains with
+//! [`flush`] *outside* its move/iteration loops, counters and span
+//! statistics are plain atomics registered on an intrusive static list,
+//! and the sink serialises into a reusable line buffer.
 //!
-//! * With the `enabled` feature (off by default) it provides scoped timing
-//!   spans with thread-aware nesting, monotonic counters, log-scale
-//!   histograms, and a buffered JSONL event sink. The hot path is
-//!   allocation-free after warm-up: events go to per-thread fixed-capacity
-//!   buffers that instrumented code drains with [`flush`] *outside* its
-//!   move/iteration loops, counters and span statistics are plain atomics
-//!   registered on an intrusive static list, and the sink serialises into a
-//!   reusable line buffer.
-//! * Without it every entry point is an inlinable no-op and [`active`] is a
-//!   constant `false`, so `if active() { ... }` blocks and `record` calls
-//!   are removed entirely by dead-code elimination.
+//! Instrumented code never pays for a sink that is not installed: every
+//! recording entry point first checks [`active`], one relaxed atomic load
+//! that is only true between [`install`] / [`install_observer`] and their
+//! uninstall. Inactive, a span reads no clock and a counter writes
+//! nothing.
 //!
-//! Instrumented code never pays for a sink that is not installed: even in
-//! `enabled` builds, recording is gated on a relaxed atomic flag that is
-//! only true between [`install`] and [`uninstall`].
-//!
-//! The verbosity gate ([`verbose`] / [`vlog!`]) is deliberately *not*
-//! feature-gated: diagnostic prints replaced throughout the workspace stay
-//! reachable in default builds via `PLACER_VERBOSE=<level>`, but default to
-//! silent. The sites are cold paths, so the single relaxed atomic load they
-//! cost is irrelevant.
+//! The verbosity gate ([`verbose`] / [`vlog!`]) is independent of the
+//! sink: diagnostic prints stay reachable via `PLACER_VERBOSE=<level>`
+//! but default to silent. The sites are cold paths, so the single relaxed
+//! atomic load they cost is irrelevant.
 //!
 //! # Event model
 //!
@@ -72,8 +67,8 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// `[lower, upper)` value bounds of histogram bucket `i`, matching the
 /// exponent-derived bucketing: bucket `i` in `1..=63` covers
 /// `[2^(i-33), 2^(i-32))`; bucket 0 collects non-positive and non-finite
-/// samples and reports `(-inf, 0)`. Shared by both feature states so
-/// report tooling can interpret buckets without a live registry.
+/// samples and reports `(-inf, 0)`. Report tooling uses it to interpret
+/// buckets without a live registry.
 pub fn histogram_bucket_bounds(i: usize) -> (f64, f64) {
     if i == 0 {
         return (f64::NEG_INFINITY, 0.0);
@@ -125,8 +120,8 @@ fn init_verbosity() -> u8 {
 
 /// True when diagnostic output at `level` is enabled. Level 1 is "notable
 /// anomalies" (solver gave up, model infeasible), level 2 is per-round
-/// progress, level 3 turns on dump files. Defaults to 0 (silent); set via
-/// `PLACER_VERBOSE` or [`set_verbosity`].
+/// progress, level 3 also prints a failed solve's model text to stderr.
+/// Defaults to 0 (silent); set via `PLACER_VERBOSE` or [`set_verbosity`].
 #[inline]
 pub fn verbose(level: u8) -> bool {
     let v = VERBOSITY.load(Ordering::Relaxed);
@@ -150,18 +145,11 @@ macro_rules! vlog {
     };
 }
 
-#[cfg(feature = "enabled")]
 mod real;
-#[cfg(feature = "enabled")]
 pub use real::*;
 
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::*;
-
 #[cfg(test)]
-mod shared_tests {
+mod tests {
     #[test]
     fn verbosity_defaults_to_silent() {
         // Not set in the test environment; levels above 0 must be off.

@@ -5,7 +5,6 @@
 //!
 //! This file must hold exactly one test: other tests running concurrently
 //! in the same binary would bump the counters and produce false failures.
-#![cfg(feature = "enabled")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,10 +1,11 @@
 //! The `Placer` contracts, checked on the smallest paper circuit for every
 //! placer the job engine can build: cached ≡ cold, resume ≡ uninterrupted,
-//! "Exhausted is legal", and ECO fallback ≡ cold.
+//! "Exhausted is legal", ECO fallback ≡ cold, and one thread ≡ many.
 
 use analog_netlist::{testcases, NetlistDelta};
 use eplace::{eco, Checkpoint, CircuitArtifacts, EcoConfig, PlaceSolution, Placer, RunBudget};
 use placer_jobs::{make_placer, Profile};
+use placer_sa::{SaConfig, SaPlacer};
 
 const PLACERS: [&str; 4] = ["eplace-a", "eplace-ap", "sa", "xu19"];
 
@@ -104,4 +105,33 @@ fn eco_fallback_matches_a_cold_run_on_the_edited_circuit() {
             &format!("{name}: ECO fallback"),
         );
     }
+}
+
+#[test]
+fn one_thread_and_four_threads_place_identically() {
+    // `PLACER_THREADS=1` is the single-threaded build: every fan-out runs
+    // inline. SA runs short chains inline at any thread count, so its
+    // four chains get enough moves (24 × 1,900 × 11 devices) to fan out.
+    // Under seed 2 a later chain wins, so a fan-out that runs chain 0 or 1
+    // in place of another changes the placement.
+    let bundle = CircuitArtifacts::build(testcases::adder());
+    let chains = SaConfig::builder()
+        .temperatures(24)
+        .moves_per_level(1_900)
+        .chains(4)
+        .seed(2)
+        .build()
+        .expect("valid SA config");
+    let mut placers: Vec<(&str, Box<dyn Placer>)> =
+        PLACERS.iter().map(|&name| (name, placer(name))).collect();
+    placers.push(("sa, 4 chains", Box::new(SaPlacer::new(chains))));
+    let unlimited = RunBudget::unlimited();
+    for (name, p) in &placers {
+        placer_parallel::set_max_threads(1);
+        let one = solution(p.place_artifacts(&bundle, &unlimited).unwrap(), name);
+        placer_parallel::set_max_threads(4);
+        let four = solution(p.place_artifacts(&bundle, &unlimited).unwrap(), name);
+        assert_same(&one, &four, &format!("{name}: 1 vs 4 threads"));
+    }
+    placer_parallel::set_max_threads(0);
 }

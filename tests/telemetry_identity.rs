@@ -3,10 +3,6 @@
 //! single bit of any solver's output — same seeds, with and without the
 //! GNN Φ term.
 //!
-//! Built with the `telemetry` feature this compares live-traced against
-//! untraced runs; without it both runs are untraced and the test still
-//! pins run-to-run determinism.
-//!
 //! The traced leg carries the full observability stack, not just the file
 //! sink: a live JSONL [`placer_obs::progress`] sink taps the same events
 //! through the observer hook, and a [`MetricsSnapshot`] is captured while
@@ -47,19 +43,17 @@ fn with_sink<T>(name: &str, f: impl FnOnce() -> T) -> T {
     placer_telemetry::flush_stats();
     progress::uninstall();
     placer_telemetry::uninstall();
-    if placer_obs::progress_compiled() {
-        let stream = std::fs::read_to_string(&progress_path).expect("read progress stream");
-        for line in stream.lines() {
-            let kv = placer_obs::json::parse_object(line)
-                .unwrap_or_else(|e| panic!("progress line {line:?}: {e}"));
-            assert_eq!(
-                kv.iter()
-                    .find(|(k, _)| k == "type")
-                    .and_then(|(_, v)| v.as_str()),
-                Some("progress"),
-                "progress stream emitted a non-progress line"
-            );
-        }
+    let stream = std::fs::read_to_string(&progress_path).expect("read progress stream");
+    for line in stream.lines() {
+        let kv = placer_obs::json::parse_object(line)
+            .unwrap_or_else(|e| panic!("progress line {line:?}: {e}"));
+        assert_eq!(
+            kv.iter()
+                .find(|(k, _)| k == "type")
+                .and_then(|(_, v)| v.as_str()),
+            Some("progress"),
+            "progress stream emitted a non-progress line"
+        );
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&progress_path).ok();
