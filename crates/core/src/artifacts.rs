@@ -35,10 +35,10 @@
 //! counters (`artifact_cache_hits`/`artifact_cache_misses`).
 
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use analog_netlist::{parser, AppliedDelta, Circuit, DeviceNets, ParseError};
 use placer_gnn::GraphTopology;
@@ -293,12 +293,41 @@ impl CircuitArtifacts {
 /// All three converge on the same hash-keyed store, so a circuit reached by
 /// any route shares one artifact bundle. [`invalidate`](Self::invalidate)
 /// evicts an entry (and any memos pointing at it); the next lookup rebuilds.
+///
+/// Each entry point builds once per key: a lookup that misses while
+/// another thread builds the same key waits for that build and counts as
+/// a hit.
 pub struct ArtifactCache {
     by_hash: Mutex<HashMap<u64, Arc<CircuitArtifacts>>>,
     by_text: Mutex<HashMap<u64, u64>>,
     by_name: Mutex<HashMap<String, u64>>,
+    /// Keys whose build is running; `built` wakes their waiters.
+    building: Mutex<HashSet<BuildKey>>,
+    built: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// What a lookup is keyed by, per entry point.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum BuildKey {
+    Hash(u64),
+    Text(u64),
+    Name(String),
+}
+
+/// The one running build of a key. Dropping it, once the build is in the
+/// maps or has failed, wakes the lookups waiting on that key.
+struct BuildClaim<'a> {
+    cache: &'a ArtifactCache,
+    key: BuildKey,
+}
+
+impl Drop for BuildClaim<'_> {
+    fn drop(&mut self) {
+        lock(&self.cache.building).remove(&self.key);
+        self.cache.built.notify_all();
+    }
 }
 
 impl fmt::Debug for ArtifactCache {
@@ -324,6 +353,8 @@ impl ArtifactCache {
             by_hash: Mutex::new(HashMap::new()),
             by_text: Mutex::new(HashMap::new()),
             by_name: Mutex::new(HashMap::new()),
+            building: Mutex::new(HashSet::new()),
+            built: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -343,6 +374,37 @@ impl ArtifactCache {
         lock(&self.by_hash).get(&hash).cloned()
     }
 
+    /// Returns what `find` finds as a hit. Otherwise the caller gets the
+    /// claim on `key` and counts as the miss that builds it, unless another
+    /// thread holds the claim: then this waits for that build and looks
+    /// again.
+    fn find_or_claim(
+        &self,
+        key: impl FnOnce() -> BuildKey,
+        find: impl Fn() -> Option<Arc<CircuitArtifacts>>,
+    ) -> Result<Arc<CircuitArtifacts>, BuildClaim<'_>> {
+        if let Some(found) = find() {
+            self.hit();
+            return Ok(found);
+        }
+        let key = key();
+        let mut building = lock(&self.building);
+        loop {
+            if let Some(found) = find() {
+                self.hit();
+                return Ok(found);
+            }
+            if !building.contains(&key) {
+                break;
+            }
+            building = self.built.wait(building).unwrap_or_else(|e| e.into_inner());
+        }
+        building.insert(key.clone());
+        drop(building);
+        self.miss();
+        Err(BuildClaim { cache: self, key })
+    }
+
     fn insert(&self, artifacts: Arc<CircuitArtifacts>) -> Arc<CircuitArtifacts> {
         let mut map = lock(&self.by_hash);
         Arc::clone(
@@ -355,11 +417,10 @@ impl ArtifactCache {
     /// circuit, keyed by its content hash.
     pub fn get_or_build(&self, circuit: &Circuit) -> Arc<CircuitArtifacts> {
         let hash = circuit_content_hash(circuit);
-        if let Some(found) = self.get_hash(hash) {
-            self.hit();
-            return found;
-        }
-        self.miss();
+        let _claim = match self.find_or_claim(|| BuildKey::Hash(hash), || self.get_hash(hash)) {
+            Ok(found) => return found,
+            Err(claim) => claim,
+        };
         self.insert(CircuitArtifacts::build(circuit.clone()))
     }
 
@@ -372,13 +433,14 @@ impl ArtifactCache {
         constraints: Option<&str>,
     ) -> Result<Arc<CircuitArtifacts>, ParseError> {
         let memo_key = text_hash(spice, constraints);
-        if let Some(hash) = lock(&self.by_text).get(&memo_key).copied() {
-            if let Some(found) = self.get_hash(hash) {
-                self.hit();
-                return Ok(found);
-            }
-        }
-        self.miss();
+        let find = || {
+            let hash = lock(&self.by_text).get(&memo_key).copied()?;
+            self.get_hash(hash)
+        };
+        let _claim = match self.find_or_claim(|| BuildKey::Text(memo_key), find) {
+            Ok(found) => return Ok(found),
+            Err(claim) => claim,
+        };
         let mut circuit = parser::parse_spice(spice)?;
         if let Some(text) = constraints {
             parser::parse_constraints(&mut circuit, text)?;
@@ -390,19 +452,21 @@ impl ArtifactCache {
 
     /// Fetches (or builds via `build`) the artifact bundle for a named
     /// circuit — the testcase path. Names are trusted stable for the cache's
-    /// lifetime; `build` runs only on the first miss per name. Returns
-    /// `None` when `build` does (unknown name).
+    /// lifetime; `build` runs only on the first miss per name, and
+    /// concurrent lookups of that name wait for it. Returns `None` when
+    /// `build` does (unknown name).
     pub fn get_or_build_named<F>(&self, name: &str, build: F) -> Option<Arc<CircuitArtifacts>>
     where
         F: FnOnce() -> Option<Circuit>,
     {
-        if let Some(hash) = lock(&self.by_name).get(name).copied() {
-            if let Some(found) = self.get_hash(hash) {
-                self.hit();
-                return Some(found);
-            }
-        }
-        self.miss();
+        let find = || {
+            let hash = lock(&self.by_name).get(name).copied()?;
+            self.get_hash(hash)
+        };
+        let _claim = match self.find_or_claim(|| BuildKey::Name(name.to_string()), find) {
+            Ok(found) => return Some(found),
+            Err(claim) => claim,
+        };
         let circuit = build()?;
         let artifacts = self.insert(CircuitArtifacts::build(circuit));
         lock(&self.by_name).insert(name.to_string(), artifacts.content_hash());
@@ -570,6 +634,35 @@ mod tests {
         }
         assert_eq!(builds, 1);
         assert!(cache.get_or_build_named("no-such", || None).is_none());
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_name_build_once() {
+        let cache = ArtifactCache::new();
+        let builds = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(2);
+        let got: Vec<Arc<CircuitArtifacts>> = std::thread::scope(|s| {
+            let lookups: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache
+                            .get_or_build_named("cc_ota", || {
+                                builds.fetch_add(1, Ordering::SeqCst);
+                                // Hold the build open so the other lookup
+                                // arrives while it runs.
+                                std::thread::sleep(std::time::Duration::from_millis(50));
+                                Some(testcases::cc_ota())
+                            })
+                            .expect("known name")
+                    })
+                })
+                .collect();
+            lookups.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build per name");
+        assert!(Arc::ptr_eq(&got[0], &got[1]));
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
     }
 
     #[test]

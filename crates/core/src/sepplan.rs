@@ -17,8 +17,6 @@
 //! no opposite path exists), ordering chains seed the DAG, and same-group
 //! edges propagate their mirror image.
 
-use std::collections::HashMap;
-
 use analog_netlist::{AlignKind, Axis, Circuit, DeviceId, OrderDirection, Placement};
 
 /// A planned separation: `a` must end at or before `b` starts on the axis.
@@ -55,19 +53,33 @@ impl UnionFind {
 /// One axis of the planner: equality clusters plus a separation DAG.
 #[derive(Debug, Clone)]
 struct AxisPlan {
+    n: usize,
     clusters: UnionFind,
-    /// Cluster-level adjacency: edges `u → v` meaning u's devices end
-    /// before v's start. Device-level edges retained for emission.
-    adj: HashMap<usize, Vec<usize>>,
+    /// Cluster-level adjacency, indexed by cluster root: edges `u → v`
+    /// meaning u's devices end before v's start. Device-level edges
+    /// retained for emission.
+    adj: Vec<Vec<usize>>,
     edges: Vec<SepEdge>,
+    /// How often each device pair `a·n + b` occurs in `edges`.
+    emitted: Vec<u32>,
+    /// Path-search scratch: a node is visited when its stamp equals
+    /// `stamp`, so a search clears nothing.
+    visited: Vec<u32>,
+    stamp: u32,
+    stack: Vec<usize>,
 }
 
 impl AxisPlan {
     fn new(n: usize) -> Self {
         Self {
+            n,
             clusters: UnionFind::new(n),
-            adj: HashMap::new(),
+            adj: vec![Vec::new(); n],
             edges: Vec::new(),
+            emitted: vec![0; n * n],
+            visited: vec![0; n],
+            stamp: 0,
+            stack: Vec::new(),
         }
     }
 
@@ -79,22 +91,31 @@ impl AxisPlan {
         if from == to {
             return true;
         }
-        let mut stack = vec![from];
-        let mut visited = vec![from];
-        while let Some(u) = stack.pop() {
-            if let Some(nexts) = self.adj.get(&u) {
-                for &v in nexts.clone().iter() {
-                    if v == to {
-                        return true;
-                    }
-                    if !visited.contains(&v) {
-                        visited.push(v);
-                        stack.push(v);
-                    }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.visited.fill(0);
+            self.stamp = 1;
+        }
+        self.stack.clear();
+        self.stack.push(from);
+        self.visited[from] = self.stamp;
+        while let Some(u) = self.stack.pop() {
+            for &v in &self.adj[u] {
+                if v == to {
+                    return true;
+                }
+                if self.visited[v] != self.stamp {
+                    self.visited[v] = self.stamp;
+                    self.stack.push(v);
                 }
             }
         }
         false
+    }
+
+    fn emit(&mut self, a: DeviceId, b: DeviceId) {
+        self.emitted[a.index() * self.n + b.index()] += 1;
+        self.edges.push((a, b));
     }
 
     /// Adds a device-level edge if the cluster-level DAG allows it.
@@ -106,16 +127,16 @@ impl AxisPlan {
         }
         if self.has_path(ca, cb) {
             // Already implied; still emit the device edge for tightness.
-            if !self.edges.contains(&(a, b)) {
-                self.edges.push((a, b));
+            if self.emitted[a.index() * self.n + b.index()] == 0 {
+                self.emit(a, b);
             }
             return true;
         }
         if self.has_path(cb, ca) {
             return false; // opposite direction already forced
         }
-        self.adj.entry(ca).or_default().push(cb);
-        self.edges.push((a, b));
+        self.adj[ca].push(cb);
+        self.emit(a, b);
         true
     }
 
@@ -124,11 +145,11 @@ impl AxisPlan {
     fn rollback_edge(&mut self, a: DeviceId, b: DeviceId) {
         if self.edges.last() == Some(&(a, b)) {
             self.edges.pop();
+            self.emitted[a.index() * self.n + b.index()] -= 1;
             let (ca, cb) = (self.cluster(a), self.cluster(b));
-            if let Some(list) = self.adj.get_mut(&ca) {
-                if let Some(pos) = list.iter().rposition(|&v| v == cb) {
-                    list.remove(pos);
-                }
+            let list = &mut self.adj[ca];
+            if let Some(pos) = list.iter().rposition(|&v| v == cb) {
+                list.remove(pos);
             }
         }
     }

@@ -1,7 +1,9 @@
 //! Nonlinear conjugate gradient (Polak–Ribière+) with Armijo backtracking.
 //!
 //! This is the solver NTUplace3-style analytical placers use; in this
-//! workspace it drives the ISPD'19 baseline's global placement.
+//! workspace it drives the ISPD'19 baseline's global placement. A run
+//! allocates its five work vectors once; iterations swap them instead of
+//! allocating.
 
 /// Options for [`minimize_cg`].
 #[derive(Debug, Clone)]
@@ -56,7 +58,8 @@ fn inf_norm(a: &[f64]) -> f64 {
 
 /// Minimizes `f` starting from `x0` with Polak–Ribière+ nonlinear CG.
 ///
-/// The objective closure fills `grad` and returns the function value.
+/// The objective closure returns the function value and must overwrite
+/// every entry of `grad`: the buffer it gets holds an earlier gradient.
 ///
 /// # Examples
 ///
@@ -91,7 +94,9 @@ where
     let mut grad = vec![0.0; n];
     let mut value = f(&x, &mut grad);
     let mut dir: Vec<f64> = grad.iter().map(|g| -g).collect();
-    let mut grad_prev = grad.clone();
+    let mut grad_prev = vec![0.0; n];
+    let mut x_new = vec![0.0; n];
+    let mut grad_new = vec![0.0; n];
     let mut step = opts.initial_step;
 
     for iter in 0..opts.max_iters {
@@ -114,8 +119,6 @@ where
 
         // Armijo backtracking line search.
         let mut t = step;
-        let mut x_new = vec![0.0; n];
-        let mut grad_new = vec![0.0; n];
         let mut value_new = value;
         let mut accepted = false;
         for _ in 0..opts.max_backtracks {
@@ -141,9 +144,11 @@ where
         // Mildly grow the next initial step so easy regions move fast.
         step = (t * 2.0).min(opts.initial_step * 16.0);
 
-        grad_prev.copy_from_slice(&grad);
-        x = x_new.clone();
-        grad.copy_from_slice(&grad_new);
+        // The accepted point becomes the iterate; the old gradient becomes
+        // `grad_prev`, and the stale buffers become next round's trials.
+        std::mem::swap(&mut grad_prev, &mut grad);
+        std::mem::swap(&mut grad, &mut grad_new);
+        std::mem::swap(&mut x, &mut x_new);
         value = value_new;
 
         // Polak–Ribière+ with automatic restart.

@@ -131,10 +131,10 @@ fn concurrent_clients_match_the_offline_batch_byte_for_byte() {
 
     // Nine jobs over three distinct circuits: the resident cache built
     // each circuit once and served the other six requests from memory.
-    assert!(
-        server.cache_hits() >= 6,
-        "expected ≥6 artifact-cache hits, got {}",
-        server.cache_hits()
+    assert_eq!(
+        (server.cache_misses(), server.cache_hits()),
+        (3, 6),
+        "expected 3 artifact-cache misses and 6 hits"
     );
     server.shutdown();
 }

@@ -10,34 +10,89 @@ use analog_netlist::Circuit;
 
 /// The bell-shaped overlap kernel of NTUplace3 between a device of
 /// half-extent `hw` centered at distance `d` from a bin center, with bin
-/// half-extent `hb`: smooth, 1 at `d = 0`, 0 beyond `hw + 2hb`.
+/// half-extent `hb`: smooth, 1 at `d = 0`, 0 beyond `hw + 3hb`.
 ///
 /// Returns `(value, dvalue/dd)`.
 pub fn bell_kernel(d: f64, hw: f64, hb: f64) -> (f64, f64) {
-    let sign = if d < 0.0 { -1.0 } else { 1.0 };
-    let d = d.abs();
-    let r1 = hw + hb;
-    let r2 = hw + 3.0 * hb;
-    // p(d) = 1 − a·d² on [0, r1], b·(d − r2)² on [r1, r2], 0 beyond, with
-    // C¹ continuity: a = 1/(r1·r2), b = 1/(2·hb·r2).
-    let a = 1.0 / (r1 * r2).max(1e-12);
-    let b = 1.0 / (2.0 * hb * r2).max(1e-12);
-    if d <= r1 {
-        (1.0 - a * d * d, sign * (-2.0 * a * d))
-    } else if d <= r2 {
-        (b * (d - r2) * (d - r2), sign * (2.0 * b * (d - r2)))
-    } else {
-        (0.0, 0.0)
+    Bell::new(hw, hb).at(d)
+}
+
+/// The kernel's constants for one device half-extent along one axis.
+#[derive(Debug, Clone, Copy)]
+struct Bell {
+    r1: f64,
+    r2: f64,
+    a: f64,
+    b: f64,
+}
+
+impl Bell {
+    fn new(hw: f64, hb: f64) -> Self {
+        let r1 = hw + hb;
+        let r2 = hw + 3.0 * hb;
+        // p(d) = 1 − a·d² on [0, r1], b·(d − r2)² on [r1, r2], 0 beyond, with
+        // C¹ continuity: a = 1/(r1·r2), b = 1/(2·hb·r2).
+        Self {
+            r1,
+            r2,
+            a: 1.0 / (r1 * r2).max(1e-12),
+            b: 1.0 / (2.0 * hb * r2).max(1e-12),
+        }
+    }
+
+    fn at(&self, d: f64) -> (f64, f64) {
+        let sign = if d < 0.0 { -1.0 } else { 1.0 };
+        let d = d.abs();
+        let (r1, r2, a, b) = (self.r1, self.r2, self.a, self.b);
+        if d <= r1 {
+            (1.0 - a * d * d, sign * (-2.0 * a * d))
+        } else if d <= r2 {
+            (b * (d - r2) * (d - r2), sign * (2.0 * b * (d - r2)))
+        } else {
+            (0.0, 0.0)
+        }
     }
 }
 
+/// One device's bin window from the last evaluation: its first column and
+/// row, its extent in bins, and its mass normalization. A device whose
+/// kernel sums to zero gets an empty window.
+#[derive(Debug, Clone, Copy, Default)]
+struct Window {
+    x0: usize,
+    y0: usize,
+    cols: usize,
+    rows: usize,
+    scale: f64,
+}
+
+/// First and one-past-last bin a kernel of reach `reach` around `c`
+/// touches on an axis of `bins` bins of size `size` starting at `origin`.
+fn bin_span(c: f64, reach: f64, origin: f64, size: f64, bins: usize) -> (usize, usize) {
+    let lo = (((c - reach - origin) / size).floor().max(0.0)) as usize;
+    let hi = (((c + reach - origin) / size).ceil()).min(bins as f64 - 1.0) as usize;
+    (lo, if hi >= lo { hi + 1 } else { lo })
+}
+
 /// Bell-shaped density evaluator on a uniform bin grid.
+///
+/// The kernel is separable: a device's weight in bin `(gx, gy)` is
+/// `px[gx] · py[gy]`. Each evaluation fills one row of 1-D kernel values
+/// per device and axis, then runs the density and gradient passes over
+/// those tables. The evaluator owns the tables and the bin grid, so an
+/// evaluation allocates nothing once it has seen the circuit.
 #[derive(Debug, Clone)]
 pub struct BellDensity {
     origin: (f64, f64),
     bin: (f64, f64),
     dims: (usize, usize),
     target: f64,
+    density: Vec<f64>,
+    windows: Vec<Window>,
+    /// `(px, dpx)` per device over its bin columns, `nx` slots a device.
+    kx: Vec<(f64, f64)>,
+    /// `(py, dpy)` per device over its bin rows, `ny` slots a device.
+    ky: Vec<(f64, f64)>,
 }
 
 impl BellDensity {
@@ -55,6 +110,10 @@ impl BellDensity {
             bin: (extent.0 / nx as f64, extent.1 / ny as f64),
             dims: (nx, ny),
             target: target.max(1e-6),
+            density: vec![0.0; nx * ny],
+            windows: Vec::new(),
+            kx: Vec::new(),
+            ky: Vec::new(),
         }
     }
 
@@ -67,7 +126,7 @@ impl BellDensity {
     ///
     /// Panics on size mismatches.
     pub fn evaluate(
-        &self,
+        &mut self,
         circuit: &Circuit,
         positions: &[(f64, f64)],
         weight: f64,
@@ -80,56 +139,68 @@ impl BellDensity {
         let (bx, by) = self.bin;
         let (hbx, hby) = (bx / 2.0, by / 2.0);
         let bin_area = bx * by;
+        let (origin, target) = (self.origin, self.target);
+        let Self {
+            density,
+            windows,
+            kx,
+            ky,
+            ..
+        } = self;
+        density.fill(0.0);
+        windows.resize(n, Window::default());
+        kx.resize(n * nx, (0.0, 0.0));
+        ky.resize(n * ny, (0.0, 0.0));
 
-        // Pass 1: accumulate bell-shaped density per bin, remembering each
-        // device's per-bin kernel values for the gradient pass.
-        let mut density = vec![0.0; nx * ny];
-        // (device, bin index, px, dpx, py, dpy, scale)
-        let mut contribs: Vec<(usize, usize, f64, f64, f64, f64, f64)> = Vec::new();
+        // Pass 1: tabulate each device's kernel over its window and spread
+        // its area, normalized so the total mass equals the device area.
         for (i, dev) in circuit.devices().iter().enumerate() {
             let (cx, cy) = positions[i];
             let hw = dev.width / 2.0;
             let hh = dev.height / 2.0;
-            // Normalization so the total spread mass equals the device area.
-            let reach_x = hw + 3.0 * hbx;
-            let reach_y = hh + 3.0 * hby;
-            let x0 = (((cx - reach_x - self.origin.0) / bx).floor().max(0.0)) as usize;
-            let x1 = (((cx + reach_x - self.origin.0) / bx).ceil()).min(nx as f64 - 1.0) as usize;
-            let y0 = (((cy - reach_y - self.origin.1) / by).floor().max(0.0)) as usize;
-            let y1 = (((cy + reach_y - self.origin.1) / by).ceil()).min(ny as f64 - 1.0) as usize;
-            // First, compute the kernel sum for mass normalization.
+            let (x0, x1) = bin_span(cx, hw + 3.0 * hbx, origin.0, bx, nx);
+            let (y0, y1) = bin_span(cy, hh + 3.0 * hby, origin.1, by, ny);
+            let tx = &mut kx[i * nx..][..x1 - x0];
+            let bell_x = Bell::new(hw, hbx);
+            for (gx, k) in (x0..x1).zip(tx.iter_mut()) {
+                *k = bell_x.at(cx - (origin.0 + (gx as f64 + 0.5) * bx));
+            }
+            let ty = &mut ky[i * ny..][..y1 - y0];
+            let bell_y = Bell::new(hh, hby);
+            for (gy, k) in (y0..y1).zip(ty.iter_mut()) {
+                *k = bell_y.at(cy - (origin.1 + (gy as f64 + 0.5) * by));
+            }
             let mut ksum = 0.0;
-            for gy in y0..=y1 {
-                let bcy = self.origin.1 + (gy as f64 + 0.5) * by;
-                let (py, _) = bell_kernel(cy - bcy, hh, hby);
-                for gx in x0..=x1 {
-                    let bcx = self.origin.0 + (gx as f64 + 0.5) * bx;
-                    let (px, _) = bell_kernel(cx - bcx, hw, hbx);
+            for &(py, _) in ty.iter() {
+                for &(px, _) in tx.iter() {
                     ksum += px * py;
                 }
             }
             if ksum <= 0.0 {
+                windows[i] = Window::default();
                 continue;
             }
             let scale = dev.area() / (ksum * bin_area);
-            for gy in y0..=y1 {
-                let bcy = self.origin.1 + (gy as f64 + 0.5) * by;
-                let (py, dpy) = bell_kernel(cy - bcy, hh, hby);
-                for gx in x0..=x1 {
-                    let bcx = self.origin.0 + (gx as f64 + 0.5) * bx;
-                    let (px, dpx) = bell_kernel(cx - bcx, hw, hbx);
-                    let idx = gy * nx + gx;
-                    density[idx] += scale * px * py;
-                    contribs.push((i, idx, px, dpx, py, dpy, scale));
+            for (gy, &(py, _)) in (y0..).zip(ty.iter()) {
+                let row = &mut density[gy * nx + x0..][..tx.len()];
+                for (d, &(px, _)) in row.iter_mut().zip(tx.iter()) {
+                    *d += scale * px * py;
                 }
             }
+            windows[i] = Window {
+                x0,
+                y0,
+                cols: tx.len(),
+                rows: ty.len(),
+                scale,
+            };
         }
 
         // Penalty and overflow.
         let mut penalty = 0.0;
         let mut over = 0.0;
-        for &d in &density {
-            let excess = d - self.target;
+        for &d in density.iter() {
+            let excess = d - target;
             if excess > 0.0 {
                 penalty += excess * excess;
             }
@@ -139,11 +210,19 @@ impl BellDensity {
         let overflow = over / total_area;
 
         // Gradient: dP/dx_i = Σ_b 2(D_b − t)+ · scale · dpx · py.
-        for &(i, idx, px, dpx, py, dpy, scale) in &contribs {
-            let excess = density[idx] - self.target;
-            if excess > 0.0 {
-                grad[i] += weight * 2.0 * excess * scale * dpx * py;
-                grad[n + i] += weight * 2.0 * excess * scale * px * dpy;
+        for (i, w) in windows.iter().enumerate() {
+            let tx = &kx[i * nx..][..w.cols];
+            let ty = &ky[i * ny..][..w.rows];
+            for (gy, &(py, dpy)) in (w.y0..).zip(ty) {
+                let row = &density[gy * nx + w.x0..][..w.cols];
+                for (&d, &(px, dpx)) in row.iter().zip(tx) {
+                    let excess = d - target;
+                    if excess > 0.0 {
+                        let e = weight * 2.0 * excess * w.scale;
+                        grad[i] += e * dpx * py;
+                        grad[n + i] += e * px * dpy;
+                    }
+                }
             }
         }
         (penalty, overflow)
@@ -189,7 +268,7 @@ mod tests {
         let c = testcases::cc_ota();
         let n = c.num_devices();
         let side = (c.total_device_area() / 0.4).sqrt();
-        let bell = BellDensity::new((0.0, 0.0), (side, side), 24, 24, 0.4);
+        let mut bell = BellDensity::new((0.0, 0.0), (side, side), 24, 24, 0.4);
         let stacked = vec![(side / 2.0, side / 2.0); n];
         let spread: Vec<(f64, f64)> = (0..n)
             .map(|i| {
@@ -208,11 +287,38 @@ mod tests {
     }
 
     #[test]
+    fn reused_tables_match_a_fresh_evaluator() {
+        // A device near the grid edge gets a clipped window, one outside it
+        // an empty one: stale table rows from the first call must not leak.
+        let c = testcases::vco2();
+        let n = c.num_devices();
+        let side = (c.total_device_area() / 0.4).sqrt();
+        let spread: Vec<(f64, f64)> = (0..n)
+            .map(|i| (side * (i as f64 + 0.5) / n as f64, side / 2.0))
+            .collect();
+        let mut edge = spread.clone();
+        edge[0] = (0.0, side);
+        edge[1] = (-3.0 * side, side / 2.0);
+        let mut reused = BellDensity::new((0.0, 0.0), (side, side), 24, 24, 0.4);
+        let mut fresh = reused.clone();
+        let (mut g_reused, mut g_fresh) = (vec![0.0; 2 * n], vec![0.0; 2 * n]);
+        reused.evaluate(&c, &spread, 1.0, &mut g_reused);
+        g_reused.iter_mut().for_each(|g| *g = 0.0);
+        let a = reused.evaluate(&c, &edge, 0.7, &mut g_reused);
+        let b = fresh.evaluate(&c, &edge, 0.7, &mut g_fresh);
+        assert_eq!(
+            (a.0.to_bits(), a.1.to_bits()),
+            (b.0.to_bits(), b.1.to_bits())
+        );
+        assert_eq!(g_reused, g_fresh);
+    }
+
+    #[test]
     fn density_gradient_matches_finite_differences() {
         let c = testcases::adder();
         let n = c.num_devices();
         let side = (c.total_device_area() / 0.4).sqrt();
-        let bell = BellDensity::new((0.0, 0.0), (side, side), 16, 16, 0.4);
+        let mut bell = BellDensity::new((0.0, 0.0), (side, side), 16, 16, 0.4);
         let mut positions: Vec<(f64, f64)> = (0..n)
             .map(|i| {
                 (

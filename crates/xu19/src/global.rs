@@ -6,7 +6,7 @@ use analog_netlist::{Circuit, Placement};
 use placer_numeric::{minimize_cg, CgOptions};
 
 use crate::bell::BellDensity;
-use crate::lse::lse_wirelength;
+use crate::lse::LseWirelength;
 use eplace::{symmetry_penalty, BudgetStatus, ConfigError, RunBudget};
 
 /// Configuration of the baseline's global placement.
@@ -216,6 +216,82 @@ pub fn run_global_with_extra(
     }
 }
 
+/// Xu19's global-placement objective, `WL + β·D + τ·Sym` (plus the Perf*
+/// hook), with every buffer it touches: the bell grid and its kernel
+/// tables, the LSE pin table and buffers, the point view of the flat
+/// iterate and the density gradient. Built once per run; an evaluation
+/// allocates nothing.
+struct Objective<'c> {
+    circuit: &'c Circuit,
+    bell: BellDensity,
+    lse: LseWirelength,
+    gamma: f64,
+    pts: Vec<(f64, f64)>,
+    g_bell: Vec<f64>,
+}
+
+impl<'c> Objective<'c> {
+    fn new(circuit: &'c Circuit, bell: BellDensity, gamma: f64) -> Self {
+        let n = circuit.num_devices();
+        Self {
+            circuit,
+            bell,
+            lse: LseWirelength::new(circuit),
+            gamma,
+            pts: vec![(0.0, 0.0); n],
+            g_bell: vec![0.0; 2 * n],
+        }
+    }
+
+    /// Loads the flat iterate `v` (`x[0..n]`, `y[n..2n]`) into `pts` and
+    /// evaluates the bell density there at `weight`, its gradient into
+    /// `g_bell`. Returns `(penalty, overflow)`.
+    fn density(&mut self, v: &[f64], weight: f64) -> (f64, f64) {
+        let n = self.pts.len();
+        for (i, p) in self.pts.iter_mut().enumerate() {
+            *p = (v[i], v[n + i]);
+        }
+        self.g_bell.fill(0.0);
+        self.bell
+            .evaluate(self.circuit, &self.pts, weight, &mut self.g_bell)
+    }
+
+    /// L1 norms of the wirelength, density and symmetry gradients at `v`,
+    /// each at unit weight: the scales the run's weights start from.
+    fn gradient_norms(&mut self, v: &[f64]) -> (f64, f64, f64) {
+        let l1 = |g: &[f64]| g.iter().map(|v| v.abs()).sum::<f64>().max(1e-12);
+        self.density(v, 1.0);
+        let mut g = vec![0.0; v.len()];
+        self.lse.evaluate(&self.pts, self.gamma, &mut g);
+        let wl = l1(&g);
+        g.fill(0.0);
+        symmetry_penalty(self.circuit, &self.pts, 1.0, &mut g);
+        (wl, l1(&self.g_bell), l1(&g))
+    }
+
+    /// The objective at `v`; overwrites `grad` with its gradient.
+    fn evaluate(
+        &mut self,
+        v: &[f64],
+        grad: &mut [f64],
+        beta: f64,
+        tau: f64,
+        extra: Option<&mut ExtraGradientFn<'_>>,
+    ) -> f64 {
+        let (pen, _) = self.density(v, beta);
+        let wl = self.lse.evaluate(&self.pts, self.gamma, grad);
+        for (g, gb) in grad.iter_mut().zip(&self.g_bell) {
+            *g += gb;
+        }
+        let sym = symmetry_penalty(self.circuit, &self.pts, tau, grad);
+        let extra_val = match extra {
+            Some(hook) => hook(&self.pts, grad),
+            None => 0.0,
+        };
+        wl + beta * pen + tau * sym + extra_val
+    }
+}
+
 /// [`run_global_with_extra`] under a [`RunBudget`], checked once per outer
 /// round (the checkpoint granularity), optionally resuming a cancelled run.
 pub fn run_global_budgeted(
@@ -239,6 +315,7 @@ pub fn run_global_budgeted(
         cfg.utilization,
     );
     let gamma = cfg.gamma_bins * side / cfg.bins as f64;
+    let mut objective = Objective::new(circuit, bell, gamma);
 
     // Deterministic initial spread (same spiral as ePlace-A for fairness).
     let golden = std::f64::consts::PI * (3.0 - 5.0_f64.sqrt());
@@ -252,17 +329,9 @@ pub fn run_global_budgeted(
     }
 
     // Normalize weights from initial gradients.
-    let pts0: Vec<(f64, f64)> = (0..n).map(|i| (x[i], x[n + i])).collect();
-    let mut g_wl = vec![0.0; 2 * n];
-    lse_wirelength(circuit, &pts0, gamma, &mut g_wl);
-    let mut g_bell = vec![0.0; 2 * n];
-    bell.evaluate(circuit, &pts0, 1.0, &mut g_bell);
-    let mut g_sym = vec![0.0; 2 * n];
-    symmetry_penalty(circuit, &pts0, 1.0, &mut g_sym);
-    let l1 = |g: &[f64]| g.iter().map(|v| v.abs()).sum::<f64>().max(1e-12);
-    let wl_norm = l1(&g_wl);
-    let mut beta = 0.2 * wl_norm / l1(&g_bell);
-    let tau = cfg.tau_scale * wl_norm / l1(&g_sym);
+    let (wl_norm, bell_norm, sym_norm) = objective.gradient_norms(&x);
+    let mut beta = 0.2 * wl_norm / bell_norm;
+    let tau = cfg.tau_scale * wl_norm / sym_norm;
 
     let mut iterations = 0;
     let mut overflow = 1.0;
@@ -306,23 +375,8 @@ pub fn run_global_budgeted(
             ..CgOptions::default()
         };
         let result = minimize_cg(
-            |v, grad| {
-                let pts: Vec<(f64, f64)> = (0..n).map(|i| (v[i], v[n + i])).collect();
-                grad.iter_mut().for_each(|g| *g = 0.0);
-                let wl = lse_wirelength(circuit, &pts, gamma, grad);
-                let mut g_b = vec![0.0; 2 * n];
-                let (pen, _) = bell.evaluate(circuit, &pts, beta, &mut g_b);
-                for (g, gb) in grad.iter_mut().zip(&g_b) {
-                    *g += gb;
-                }
-                let sym = symmetry_penalty(circuit, &pts, tau, grad);
-                let extra_val = match extra.as_deref_mut() {
-                    Some(hook) => hook(&pts, grad),
-                    None => 0.0,
-                };
-                wl + beta * pen + tau * sym + extra_val
-            },
-            x.clone(),
+            |v, grad| objective.evaluate(v, grad, beta, tau, extra.as_deref_mut()),
+            std::mem::take(&mut x),
             &opts,
         );
         x = result.x;
@@ -334,10 +388,7 @@ pub fn run_global_budgeted(
             x[i] = x[i].clamp(hw, side_x - hw);
             x[n + i] = x[n + i].clamp(hh, side_y - hh);
         }
-        let pts: Vec<(f64, f64)> = (0..n).map(|i| (x[i], x[n + i])).collect();
-        let mut scratch = vec![0.0; 2 * n];
-        let (_, of) = bell.evaluate(circuit, &pts, 1.0, &mut scratch);
-        overflow = of;
+        overflow = objective.density(&x, 1.0).1;
         placer_telemetry::record(
             "xu_round",
             &[

@@ -132,9 +132,10 @@ impl Placer for Xu19Placer {
         "xu19"
     }
 
-    // The Xu19 global pass derives only cheap per-run state (bell grids,
-    // LSE scratch) from the circuit, so the shared parsed circuit is the
-    // whole artifact win here.
+    // Each global pass builds its objective's state once from the circuit:
+    // one bell evaluator (bin grid, windows, kernel tables) and the LSE pin
+    // table with its buffers. That costs little next to the CG run, so the
+    // shared parsed circuit is the whole artifact win here.
     fn place_artifacts(
         &self,
         artifacts: &eplace::CircuitArtifacts,

@@ -1,8 +1,8 @@
 //! Verifies that the telemetry layer keeps the engine's zero-allocation
 //! contracts when it is *live*: with a sink installed, the SA move loop,
-//! the Nesterov iteration, and the GNN CSR gradient hook — each wrapped in
-//! the same span / event / counter instrumentation the solvers use — never
-//! touch the heap after warm-up.
+//! the Nesterov iteration, the GNN CSR gradient hook and Xu19's CG
+//! objective — each wrapped in the same span / event / counter
+//! instrumentation the solvers use — never touch the heap after warm-up.
 //!
 //! A live [`placer_obs::progress`] sink is installed for the whole run, so
 //! the counting allocator also covers the observer tap (mapped `gp_iter`
@@ -23,6 +23,7 @@ use analog_netlist::testcases;
 use placer_numeric::NesterovState;
 use placer_obs::progress::{self, ProgressMode};
 use placer_sa::{BlockModel, MoveEvaluator, SaConfig, SaState, SequencePair};
+use placer_xu19::{run_global, BellDensity, LseWirelength, Xu19GlobalConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,6 +62,7 @@ static COSTS: placer_telemetry::Histogram = placer_telemetry::Histogram::new("te
 static MOVE_SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("test_move");
 static STEP_SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("test_step");
 static PHI_SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("test_phi");
+static XU_SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("test_xu19");
 
 fn random_swap(state: &mut SaState, rng: &mut StdRng) {
     let m = state.seq_pair.s1.len();
@@ -136,6 +138,19 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
         }
     }
     placer_telemetry::flush();
+    // The reporter thread allocates its drain buffers when it starts. Wait
+    // for its first drain of the warm-up's events so that only its steady
+    // state runs under the counter.
+    let started = std::time::Instant::now();
+    while !std::fs::read_to_string(&progress_path)
+        .is_ok_and(|s| s.contains("\"phase\":\"gp_iter\""))
+    {
+        assert!(
+            started.elapsed().as_secs() < 10,
+            "the progress reporter never drained the warm-up events"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..500 {
@@ -235,6 +250,65 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
     placer_telemetry::flush();
     let gnn_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
 
+    // --- Xu19's CG objective under live instrumentation. ---------------
+    // The bell density and LSE passes called directly, then whole CG runs:
+    // one round with more iterations must allocate no more than one with
+    // fewer, so a CG iteration (line search, objective, direction update)
+    // allocates nothing.
+    let xu_circuit = testcases::vco2();
+    let xn = xu_circuit.num_devices();
+    let side = (xu_circuit.total_device_area() / 0.35).sqrt();
+    let mut bell = BellDensity::new((0.0, 0.0), (side, side), 24, 24, 0.35);
+    let mut lse = LseWirelength::new(&xu_circuit);
+    let mut xpts: Vec<(f64, f64)> = (0..xn)
+        .map(|i| {
+            (
+                side * (0.2 + 0.6 * (i % 5) as f64 / 5.0),
+                side * (0.3 + 0.05 * i as f64),
+            )
+        })
+        .collect();
+    let mut xgrad = vec![0.0f64; 2 * xn];
+    let mut xu_eval = |pts: &[(f64, f64)], grad: &mut [f64]| {
+        let _span = XU_SPAN.enter();
+        let wl = lse.evaluate(pts, 1.5, grad);
+        let (pen, of) = bell.evaluate(&xu_circuit, pts, 0.5, grad);
+        placer_telemetry::record("test_xu19", &[("wl", wl), ("pen", pen), ("overflow", of)]);
+    };
+    for _ in 0..8 {
+        xu_eval(&xpts, &mut xgrad);
+    }
+    placer_telemetry::flush();
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..200 {
+        for p in xpts.iter_mut() {
+            p.0 += 0.03;
+            p.1 -= 0.02;
+        }
+        xu_eval(&xpts, &mut xgrad);
+    }
+    placer_telemetry::flush();
+    let xu19_eval_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+
+    let one_round = |cg_iters: usize| {
+        let cfg = Xu19GlobalConfig {
+            rounds: 1,
+            cg_iters,
+            ..Xu19GlobalConfig::default()
+        };
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let (_, stats) = run_global(&xu_circuit, &cfg);
+        placer_telemetry::flush();
+        (
+            ALLOCATIONS.load(Ordering::SeqCst) - before,
+            stats.iterations,
+        )
+    };
+    one_round(4);
+    let (short_allocs, short_iters) = one_round(4);
+    let (long_allocs, long_iters) = one_round(40);
+
     progress::job_done("zero-alloc", "complete", 1.0, Some(cost.total));
     placer_telemetry::flush_stats();
     progress::uninstall();
@@ -267,10 +341,24 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
         gnn_allocs, 0,
         "GNN gradient hook allocated {gnn_allocs} times across 200 instrumented calls"
     );
+    assert_eq!(
+        xu19_eval_allocs, 0,
+        "Xu19 bell + LSE passes allocated {xu19_eval_allocs} times across 200 instrumented calls"
+    );
+    assert!(
+        long_iters > short_iters,
+        "the longer CG run must iterate more ({long_iters} vs {short_iters})"
+    );
+    assert!(
+        long_allocs <= short_allocs,
+        "Xu19 CG allocates per iteration: {long_allocs} allocations over {long_iters} \
+         iterations against {short_allocs} over {short_iters}"
+    );
     // Sanity: the instrumentation was live, not skipped as inactive.
     assert_eq!(MOVES.value(), 532);
     assert_eq!(COSTS.count(), 732);
     assert_eq!(MOVE_SPAN.calls(), 532);
     assert_eq!(STEP_SPAN.calls(), 216);
     assert_eq!(PHI_SPAN.calls(), 208);
+    assert_eq!(XU_SPAN.calls(), 208);
 }
