@@ -170,7 +170,7 @@ fn parse_args(
     let mut quick = false;
     let mut check_baseline = None;
     let mut positional_out = None;
-    let mut common = CommonOpts::default();
+    let mut common = CommonOpts::new()?;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if common.take(arg, &mut it)? {
@@ -247,7 +247,8 @@ fn main() {
         });
     }
 
-    // --- density_eval: block scatter/solve/gather vs allocate-per-call. ---
+    // --- density_eval: scratch-reusing scatter/solve/gather vs --------
+    // --- allocate-per-call with the mirror-extended FFT solve. ----------
     {
         let circuit = synthetic_circuit(1500, 11);
         let side = (circuit.total_device_area() / 0.5).sqrt();
@@ -267,7 +268,8 @@ fn main() {
         });
     }
 
-    // --- wa_grad: block-partial accumulation vs the single-pass seed. ----
+    // --- wa_grad: batched-exponential accumulation vs the seed's ------
+    // --- per-net spread calls. ------------------------------------------
     {
         let circuit = synthetic_circuit(4096, 3);
         let side = (circuit.total_device_area() / 0.5).sqrt();

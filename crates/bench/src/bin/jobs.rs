@@ -56,7 +56,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         engine: JobEngine::default(),
         cancel_after_checks: None,
         expect: None,
-        common: CommonOpts::default(),
+        common: CommonOpts::new()?,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {

@@ -49,7 +49,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             ledger: None,
             ..ServerConfig::default()
         },
-        common: CommonOpts::default(),
+        common: CommonOpts::new()?,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {

@@ -66,7 +66,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         expect_hit_rate: None,
         stats: false,
         shutdown: false,
-        common: CommonOpts::default(),
+        common: CommonOpts::new()?,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {

@@ -8,7 +8,7 @@
 //!       [--utils U,...] [--aspects A,...] [--relax R,...]
 //!       [--profile default|small]
 //!       [--rounds N] [--round-checks N] [--kill-ratio X] [--min-survivors N]
-//!       [--serial] [--pareto] [--stable] [--expect-killed N]
+//!       [--pareto] [--stable] [--expect-killed N]
 //!       [--expect-pareto N] [--expect-hit-rate PCT]
 //!       [--out REPORTS.jsonl] [--threads N] [--progress[=human|jsonl]]
 //!       [--trace[=FILE]] [--ledger none|PATH]
@@ -21,11 +21,9 @@
 //!   scales the symmetry penalty by `1 - relax`).
 //! - `--rounds`/`--round-checks`/`--kill-ratio`/`--min-survivors` tune
 //!   the racing policy (see `placer_sweep::RaceConfig`).
-//! - `--serial` pins the serial reference backend regardless of pool
-//!   size.
-//! - `--stable` runs the whole sweep twice — serial on one thread, then
-//!   parallel on four — and fails unless reports (modulo wall-clock) and
-//!   the Pareto front are identical: the racing determinism contract.
+//! - `--stable` runs the whole sweep twice — on one thread, then on
+//!   four — and fails unless reports (modulo wall-clock) and the Pareto
+//!   front are identical: the racing determinism contract.
 //! - `--expect-killed N` / `--expect-pareto N` / `--expect-hit-rate PCT`
 //!   are the CI assertion hooks: at least N racers killed by the
 //!   tournament, at least N Pareto points, cache hit rate above PCT
@@ -46,12 +44,11 @@ use placer_bench::cli::{parse_floats, parse_seeds, value, CommonOpts, ObsSession
 use placer_jobs::{normalize_timing, Profile};
 use placer_obs::ledger::{LedgerRecord, RunLedger};
 use placer_obs::progress;
-use placer_sweep::{ParallelBackend, SerialBackend, SweepConfig, SweepEngine, SweepResult};
+use placer_sweep::{SweepConfig, SweepEngine, SweepResult};
 use placer_telemetry::vlog;
 
 struct Options {
     config: SweepConfig,
-    serial: bool,
     pareto: bool,
     stable: bool,
     expect_killed: Option<usize>,
@@ -65,7 +62,7 @@ fn usage() -> String {
         "usage: sweep [--circuit NAME] [--placers A,B,...] [--seeds LIST|LO-HI] \
          [--utils U,...] [--aspects A,...] [--relax R,...] \
          [--profile default|small] [--rounds N] [--round-checks N] \
-         [--kill-ratio X] [--min-survivors N] [--serial] [--pareto] [--stable] \
+         [--kill-ratio X] [--min-survivors N] [--pareto] [--stable] \
          [--expect-killed N] [--expect-pareto N] [--expect-hit-rate PCT] {COMMON_USAGE}"
     )
 }
@@ -73,13 +70,12 @@ fn usage() -> String {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         config: SweepConfig::default(),
-        serial: false,
         pareto: false,
         stable: false,
         expect_killed: None,
         expect_pareto: None,
         expect_hit_rate: None,
-        common: CommonOpts::default(),
+        common: CommonOpts::new()?,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -131,7 +127,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.config.race.min_survivors =
                     v.parse().map_err(|_| format!("bad survivor count `{v}`"))?;
             }
-            "--serial" => opts.serial = true,
             "--pareto" => opts.pareto = true,
             "--stable" => opts.stable = true,
             "--expect-killed" => {
@@ -174,14 +169,6 @@ fn pareto_lines(result: &SweepResult) -> String {
     out
 }
 
-fn run_once(config: &SweepConfig, serial: bool) -> Result<SweepResult, String> {
-    let mut engine = SweepEngine::new(config.clone());
-    if serial {
-        engine = engine.with_backend(Box::new(SerialBackend));
-    }
-    engine.run()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -200,49 +187,44 @@ fn main() -> ExitCode {
         }
     };
 
+    let run = || SweepEngine::new(opts.config.clone()).run();
     let result = if opts.stable {
-        // The determinism contract, exercised end to end: a serial
-        // single-threaded sweep and a parallel four-threaded one must
-        // produce identical reports (modulo wall-clock) and an identical
-        // Pareto front.
+        // The determinism contract, exercised end to end: a one-thread
+        // sweep and a four-thread one must produce identical reports
+        // (modulo wall-clock) and an identical Pareto front.
         placer_parallel::set_max_threads(1);
-        let serial = run_once(&opts.config, true);
-        let parallel = serial.as_ref().ok().map(|_| {
+        let one = run();
+        let four = one.as_ref().ok().map(|_| {
             placer_parallel::set_max_threads(4);
-            SweepEngine::new(opts.config.clone())
-                .with_backend(Box::new(ParallelBackend))
-                .run()
+            run()
         });
         placer_parallel::set_max_threads(opts.common.threads.unwrap_or(0));
-        match (serial, parallel) {
+        match (one, four) {
             (Ok(a), Some(Ok(b))) => {
                 let left = normalize_timing(&a.to_jsonl());
                 let right = normalize_timing(&b.to_jsonl());
                 if left != right || pareto_lines(&a) != pareto_lines(&b) {
-                    eprintln!(
-                        "sweep: --stable violated: 1-thread serial and 4-thread parallel \
-                         runs disagree"
-                    );
+                    eprintln!("sweep: --stable violated: 1-thread and 4-thread runs disagree");
                     for (l, r) in left.lines().zip(right.lines()) {
                         if l != r {
-                            eprintln!("sweep:   serial:   {l}");
-                            eprintln!("sweep:   parallel: {r}");
+                            eprintln!("sweep:   1 thread:  {l}");
+                            eprintln!("sweep:   4 threads: {r}");
                         }
                     }
                     return ExitCode::from(2);
                 }
-                vlog!(1, "stable: serial(1) and parallel(4) runs identical");
+                vlog!(1, "stable: 1-thread and 4-thread runs identical");
                 a
             }
             (Err(e), _) | (_, Some(Err(e))) => {
                 eprintln!("sweep: {e}");
                 return ExitCode::from(1);
             }
-            (_, None) => unreachable!("parallel leg runs when serial leg succeeded"),
+            (_, None) => unreachable!("4-thread leg runs when the 1-thread leg succeeded"),
         }
     } else {
         opts.common.apply_threads();
-        match run_once(&opts.config, opts.serial) {
+        match run() {
             Ok(result) => result,
             Err(e) => {
                 eprintln!("sweep: {e}");
@@ -267,11 +249,10 @@ fn main() -> ExitCode {
     // diagnostic line.
     vlog!(
         1,
-        "sweep: {} variants on {}, backend {}, {} killed, {} pareto points, \
+        "sweep: {} variants on {}, {} killed, {} pareto points, \
          cache {}/{} ({:.1}% hits)",
         result.variants.len(),
         opts.config.circuit,
-        result.backend,
         result.killed(),
         result.pareto.len(),
         result.cache_hits,
@@ -293,7 +274,6 @@ fn main() -> ExitCode {
         .uint("cache_hits", result.cache_hits)
         .uint("cache_misses", result.cache_misses)
         .num("cache_hit_rate", result.cache_hit_rate())
-        .str_field("backend", result.backend)
         .num("wall_ms", wall_ms)
         .str_field("simd", placer_simd::selected().name())
         .uint("threads", placer_parallel::max_threads() as u64)

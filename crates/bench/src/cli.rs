@@ -6,13 +6,15 @@
 //! them locally. [`CommonOpts::take`] is the single parser: a binary's
 //! argument loop offers every token to it first and only matches its own
 //! flags when `take` declines, so the flags spell, validate and error
-//! identically everywhere.
+//! identically everywhere. [`CommonOpts::new`] refuses a malformed
+//! `PLACER_THREADS` the same way.
 //!
 //! [`ObsSession`] is the matching runtime bracket: it installs the trace
 //! sink and progress observer a `--trace`/`--progress` run asked for
 //! (in that order — the trace install resets the stat registries) and
 //! tears both down around a metrics snapshot at the end.
 
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -31,6 +33,27 @@ pub fn value(flag: &str, it: &mut std::slice::Iter<'_, String>) -> Result<String
     it.next()
         .cloned()
         .ok_or_else(|| format!("`{flag}` needs a value"))
+}
+
+/// Parses a worker-thread count: a positive integer. Zero is refused
+/// because `placer_parallel::set_max_threads(0)` clears the override and
+/// runs on every hardware thread.
+fn parse_threads(v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("bad thread count `{v}` (want a positive integer)")),
+    }
+}
+
+/// Checks a `PLACER_THREADS` value (`None` when unset) by the `--threads`
+/// rule.
+fn thread_env_value(value: Option<&OsStr>) -> Result<(), String> {
+    match value {
+        None => Ok(()),
+        Some(v) => parse_threads(v.to_string_lossy().trim())
+            .map(drop)
+            .map_err(|e| format!("PLACER_THREADS: {e}")),
+    }
 }
 
 /// Parses a `--expect STATUS` value through the wire names.
@@ -104,6 +127,18 @@ pub const COMMON_USAGE: &str = "[--out FILE] [--threads N] [--eco-threshold F] \
      [--progress[=human|jsonl]] [--trace[=FILE]] [--ledger none|PATH]";
 
 impl CommonOpts {
+    /// Starts a binary's option set, refusing a set `PLACER_THREADS` that
+    /// is not a positive integer, which `placer_parallel::max_threads`
+    /// would ignore in favour of every hardware thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the variable and its value.
+    pub fn new() -> Result<CommonOpts, String> {
+        thread_env_value(std::env::var_os("PLACER_THREADS").as_deref())?;
+        Ok(CommonOpts::default())
+    }
+
     /// Offers `arg` to the shared parser. Returns `true` when the flag
     /// was consumed (possibly advancing `it` for its value), `false` when
     /// the binary should match it itself.
@@ -118,10 +153,7 @@ impl CommonOpts {
     ) -> Result<bool, String> {
         match arg {
             "--out" => self.out = Some(PathBuf::from(value("--out", it)?)),
-            "--threads" => {
-                let v = value("--threads", it)?;
-                self.threads = Some(v.parse().map_err(|_| format!("bad thread count `{v}`"))?);
-            }
+            "--threads" => self.threads = Some(parse_threads(&value("--threads", it)?)?),
             "--eco-threshold" => {
                 let v = value("--eco-threshold", it)?;
                 let t: f64 = v.parse().map_err(|_| format!("bad threshold `{v}`"))?;
@@ -275,6 +307,29 @@ mod tests {
             .take("--ledger", &mut args(&[]).iter())
             .unwrap_err()
             .contains("--ledger"));
+    }
+
+    #[test]
+    fn thread_counts_must_be_positive_integers() {
+        for bad in ["0", "abc", "-1", ""] {
+            let a = args(&["--threads", bad]);
+            let mut it = a.iter();
+            let err = CommonOpts::default()
+                .take(it.next().unwrap(), &mut it)
+                .unwrap_err();
+            assert!(err.contains("bad thread count"), "{bad}: {err}");
+        }
+        assert_eq!(parse_threads("3"), Ok(3));
+    }
+
+    #[test]
+    fn placer_threads_env_is_checked_like_the_flag() {
+        assert_eq!(thread_env_value(None), Ok(()));
+        assert_eq!(thread_env_value(Some(OsStr::new(" 2 "))), Ok(()));
+        for bad in ["0", "abc", ""] {
+            let err = thread_env_value(Some(OsStr::new(bad))).unwrap_err();
+            assert!(err.starts_with("PLACER_THREADS: bad thread count"), "{err}");
+        }
     }
 
     #[test]

@@ -8,34 +8,14 @@
 //!
 //! The grid owns all solver scratch (density, potential and field grids,
 //! device spans), so repeated [`DensityGrid::evaluate`] calls only allocate
-//! the returned gradient vector. Scatter and gather are decomposed into
-//! fixed device blocks fanned out over threads; block boundaries and the
-//! block-ordered reduction depend only on the device count, so results are
-//! bit-identical for any thread count.
+//! the returned gradient vector. Scatter and gather run on the calling
+//! thread in device order, so results never depend on the thread count.
 
 use analog_netlist::Circuit;
 use placer_numeric::{Grid, PoissonSolver};
 
 /// Device span in bin coordinates: `(bx0, bx1, by0, by1)`, inclusive.
 type Span = (u32, u32, u32, u32);
-
-/// Number of fixed device blocks scatter/gather decompose into when the
-/// circuit is large enough to be worth fanning out. Fixed (never derived
-/// from the thread count) so the floating-point reduction order — and
-/// therefore the placement — is identical for any parallelism.
-const DEVICE_BLOCKS: usize = 16;
-
-/// Devices below this count run as a single block: the block-partial
-/// machinery would cost more than the scatter itself.
-const BLOCK_THRESHOLD: usize = 64;
-
-fn device_blocks(n: usize) -> usize {
-    if n >= BLOCK_THRESHOLD {
-        DEVICE_BLOCKS
-    } else {
-        1
-    }
-}
 
 /// Rasterizes one device rectangle onto `grid` with area-proportional
 /// overlap, returning its bin span.
@@ -136,8 +116,6 @@ pub struct DensityGrid {
     /// Field components, reused across evaluations.
     ex: Grid,
     ey: Grid,
-    /// Per-block scatter partial (single-threaded path).
-    partial: Grid,
     /// Per-device bin spans, reused across evaluations.
     spans: Vec<Span>,
 }
@@ -182,7 +160,6 @@ impl DensityGrid {
             psi: Grid::new(dim, dim),
             ex: Grid::new(dim, dim),
             ey: Grid::new(dim, dim),
-            partial: Grid::new(dim, dim),
             spans: Vec::new(),
         }
     }
@@ -194,8 +171,8 @@ impl DensityGrid {
 
     /// Evaluates energy, gradient and overflow for device centers.
     ///
-    /// Reuses the grid's internal scratch; the only per-call allocation on
-    /// the single-threaded path is the returned gradient vector.
+    /// Reuses the grid's internal scratch; the only per-call allocation is
+    /// the returned gradient vector.
     ///
     /// # Panics
     ///
@@ -204,75 +181,22 @@ impl DensityGrid {
         let n = circuit.num_devices();
         assert_eq!(positions.len(), n, "positions length mismatch");
         let bin_area = self.bin.0 * self.bin.1;
-        let blocks = placer_parallel::fixed_blocks(n, device_blocks(n));
         let (origin, bin, dim) = (self.origin, self.bin, self.dim);
 
-        // Scatter: per-block partial densities summed into `rho` in block
-        // order. A single block writes straight into `rho`; both paths
-        // produce bit-identical sums (each partial starts from zero and
-        // partials combine in block order).
+        // Scatter every device straight into `rho`, in device order.
         self.rho.fill_zero();
         self.spans.clear();
-        self.spans.resize(n, (0, 0, 0, 0));
-        if blocks.len() <= 1 {
-            for (i, d) in circuit.devices().iter().enumerate() {
-                let (cx, cy) = positions[i];
-                self.spans[i] =
-                    scatter_one(origin, bin, dim, &mut self.rho, cx, cy, d.width, d.height);
-            }
-        } else if placer_parallel::max_threads() <= 1 {
-            for r in &blocks {
-                self.partial.fill_zero();
-                for i in r.clone() {
-                    let d = &circuit.devices()[i];
-                    let (cx, cy) = positions[i];
-                    self.spans[i] = scatter_one(
-                        origin,
-                        bin,
-                        dim,
-                        &mut self.partial,
-                        cx,
-                        cy,
-                        d.width,
-                        d.height,
-                    );
-                }
-                for (acc, &p) in self
-                    .rho
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(self.partial.as_slice())
-                {
-                    *acc += p;
-                }
-            }
-        } else {
-            let devices = circuit.devices();
-            let parts = placer_parallel::par_map(blocks.len(), |b| {
-                let mut partial = Grid::new(dim, dim);
-                let mut spans = Vec::with_capacity(blocks[b].len());
-                for i in blocks[b].clone() {
-                    let d = &devices[i];
-                    let (cx, cy) = positions[i];
-                    spans.push(scatter_one(
-                        origin,
-                        bin,
-                        dim,
-                        &mut partial,
-                        cx,
-                        cy,
-                        d.width,
-                        d.height,
-                    ));
-                }
-                (partial, spans)
-            });
-            for (b, (partial, spans)) in parts.into_iter().enumerate() {
-                for (acc, &p) in self.rho.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-                    *acc += p;
-                }
-                self.spans[blocks[b].start..blocks[b].end].copy_from_slice(&spans);
-            }
+        for (d, &(cx, cy)) in circuit.devices().iter().zip(positions) {
+            self.spans.push(scatter_one(
+                origin,
+                bin,
+                dim,
+                &mut self.rho,
+                cx,
+                cy,
+                d.width,
+                d.height,
+            ));
         }
 
         // Overflow before solving: area packed above full bin occupancy,
@@ -295,55 +219,24 @@ impl DensityGrid {
             .field_into(&self.psi, &mut self.ex, &mut self.ey);
         let energy = self.solver.energy(&self.rho, &self.psi);
 
-        // Gather: per-device force; devices are independent, so any
-        // decomposition gives identical results.
+        // Gather: per-device force.
         let mut grad = vec![0.0; 2 * n];
-        if placer_parallel::max_threads() <= 1 || blocks.len() <= 1 {
-            for (i, d) in circuit.devices().iter().enumerate() {
-                let (cx, cy) = positions[i];
-                let (fx, fy) = gather_one(
-                    origin,
-                    bin,
-                    &self.ex,
-                    &self.ey,
-                    self.spans[i],
-                    cx,
-                    cy,
-                    d.width,
-                    d.height,
-                );
-                // Energy decreases along the force: ∂N/∂x = −fx.
-                grad[i] = -fx;
-                grad[n + i] = -fy;
-            }
-        } else {
-            let devices = circuit.devices();
-            let forces = placer_parallel::par_map(blocks.len(), |b| {
-                blocks[b]
-                    .clone()
-                    .map(|i| {
-                        let d = &devices[i];
-                        let (cx, cy) = positions[i];
-                        gather_one(
-                            origin,
-                            bin,
-                            &self.ex,
-                            &self.ey,
-                            self.spans[i],
-                            cx,
-                            cy,
-                            d.width,
-                            d.height,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            });
-            for (b, block_forces) in forces.into_iter().enumerate() {
-                for (i, (fx, fy)) in blocks[b].clone().zip(block_forces) {
-                    grad[i] = -fx;
-                    grad[n + i] = -fy;
-                }
-            }
+        for (i, d) in circuit.devices().iter().enumerate() {
+            let (cx, cy) = positions[i];
+            let (fx, fy) = gather_one(
+                origin,
+                bin,
+                &self.ex,
+                &self.ey,
+                self.spans[i],
+                cx,
+                cy,
+                d.width,
+                d.height,
+            );
+            // Energy decreases along the force: ∂N/∂x = −fx.
+            grad[i] = -fx;
+            grad[n + i] = -fy;
         }
 
         DensityEval {

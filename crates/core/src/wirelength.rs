@@ -6,13 +6,11 @@
 
 use analog_netlist::Circuit;
 
-/// Flat per-block staging for the batched spread accumulation: every
-/// multi-pin net in a net block contributes its pin coordinates and
-/// stabilized exponent arguments to these arrays, so the exponentials run
-/// as a handful of long [`placer_simd::exp_slice`] sweeps instead of one
-/// tiny kernel call per 2–10-pin analog net (per-net dispatch overhead
-/// dwarfed the work). Each block call owns its own scratch, so parallel
-/// blocks stay independent.
+/// Flat staging for the batched spread accumulation: every multi-pin net
+/// contributes its pin coordinates and stabilized exponent arguments to
+/// these arrays, so the exponentials run as a handful of long
+/// [`placer_simd::exp_slice`] sweeps instead of one tiny kernel call per
+/// 2–10-pin analog net (per-net dispatch overhead dwarfed the work).
 #[derive(Debug, Default)]
 struct BatchScratch {
     /// Pin x/y coordinates, concatenated in net order.
@@ -95,8 +93,7 @@ pub fn wa_wirelength(
 }
 
 /// The seed single-pass WA accumulation, retained as the benchmark
-/// baseline for [`wa_wirelength`]; identical results on small circuits
-/// (which run as one block either way).
+/// baseline for [`wa_wirelength`].
 pub fn wa_wirelength_reference(
     circuit: &Circuit,
     positions: &[(f64, f64)],
@@ -107,14 +104,7 @@ pub fn wa_wirelength_reference(
     assert_eq!(positions.len(), n, "positions length mismatch");
     assert_eq!(grad.len(), 2 * n, "gradient length mismatch");
     grad.iter_mut().for_each(|g| *g = 0.0);
-    accumulate_nets(
-        circuit,
-        positions,
-        gamma,
-        wa_spread_with_grad,
-        0..circuit.nets().len(),
-        grad,
-    )
+    accumulate_nets(circuit, positions, gamma, wa_spread_with_grad, grad)
 }
 
 /// One axis of log-sum-exponential (LSE) smoothing (NTUplace3 \[10\]):
@@ -143,45 +133,13 @@ pub fn lse_spread_with_grad(coords: &[f64], gamma: f64, grads: &mut [f64]) -> f6
     value
 }
 
-/// Number of fixed net blocks the gradient accumulation decomposes into
-/// for large circuits. Block boundaries and the block-ordered reduction
-/// depend only on the net count — never on threads — so the result is
-/// bit-identical for any parallelism.
-const NET_BLOCKS: usize = 16;
-
-/// Nets below this count run as a single block (the partial-buffer
-/// machinery would dominate).
-const NET_BLOCK_THRESHOLD: usize = 64;
-
-/// Devices below this count run as a single block regardless of net count.
-///
-/// Every block carries a `2·n_devices` partial-gradient buffer (zeroed,
-/// filled, then reduced in block order), so the fan-out overhead scales
-/// with the *device* count while the useful work scales with pins per
-/// block. Below this point the partials cost more than the accumulation
-/// they split — the seed benched 0.87× at 4096 devices — so the spread
-/// falls back to the direct single-buffer path. Both thresholds depend
-/// only on problem size, never on threads, preserving bit-identical
-/// results for any thread count.
-const DEVICE_BLOCK_THRESHOLD: usize = 8192;
-
-fn net_blocks(n_nets: usize, n_devices: usize) -> usize {
-    if n_nets >= NET_BLOCK_THRESHOLD && n_devices >= DEVICE_BLOCK_THRESHOLD {
-        NET_BLOCKS
-    } else {
-        1
-    }
-}
-
-/// Accumulates one contiguous net range: adds each net's weighted spread
-/// gradient into `grad` (assumed zeroed) and returns the range's smoothed
-/// wirelength.
+/// Adds each net's weighted spread gradient into `grad` (assumed zeroed)
+/// and returns the circuit's smoothed wirelength.
 fn accumulate_nets<F: FnMut(&[f64], f64, &mut [f64]) -> f64>(
     circuit: &Circuit,
     positions: &[(f64, f64)],
     gamma: f64,
     mut spread: F,
-    range: std::ops::Range<usize>,
     grad: &mut [f64],
 ) -> f64 {
     let n = circuit.num_devices();
@@ -190,7 +148,7 @@ fn accumulate_nets<F: FnMut(&[f64], f64, &mut [f64]) -> f64>(
     let mut ys: Vec<f64> = Vec::new();
     let mut gx: Vec<f64> = Vec::new();
     let mut gy: Vec<f64> = Vec::new();
-    for net in &circuit.nets()[range] {
+    for net in circuit.nets() {
         if net.pins.len() < 2 {
             continue;
         }
@@ -216,11 +174,10 @@ fn accumulate_nets<F: FnMut(&[f64], f64, &mut [f64]) -> f64>(
     total
 }
 
-/// Accumulates one net range with batched exponentials, owning the flat
-/// staging scratch for that range (each parallel block carries its own, so
-/// blocks stay independent).
+/// Accumulates every net with batched exponentials, owning the flat
+/// staging scratch.
 ///
-/// Four phases per block: (1) gather every multi-pin net's pin coordinates
+/// Four phases: (1) gather every multi-pin net's pin coordinates
 /// into flat arrays; (2) per net, fold the coordinate extremes and write
 /// the stabilized exponent arguments `(x−xmax)/γ` / `(xmin−x)/γ` — the
 /// seed's exact expressions; (3) exponentiate all four argument arrays
@@ -243,16 +200,14 @@ fn accumulate_nets_simd(
     positions: &[(f64, f64)],
     gamma: f64,
     smoothing: crate::Smoothing,
-    range: std::ops::Range<usize>,
     grad: &mut [f64],
 ) -> f64 {
     let n = circuit.num_devices();
     let nets = circuit.nets();
     let mut sc = BatchScratch::default();
 
-    // Phase 1: gather pin coordinates of every multi-pin net in the range.
-    for ni in range {
-        let net = &nets[ni];
+    // Phase 1: gather pin coordinates of every multi-pin net.
+    for (ni, net) in nets.iter().enumerate() {
         if net.pins.len() < 2 {
             continue;
         }
@@ -297,7 +252,7 @@ fn accumulate_nets_simd(
     }
 
     // Phase 3: one vectorized exponential sweep per argument array — the
-    // block's entire exp workload, batched so the SIMD lanes stay full.
+    // circuit's entire exp workload, batched so the SIMD lanes stay full.
     placer_simd::exp_slice(&mut sc.ep_x);
     placer_simd::exp_slice(&mut sc.em_x);
     placer_simd::exp_slice(&mut sc.ep_y);
@@ -416,12 +371,6 @@ fn lse_finish(
 
 /// Smoothed total wirelength with a selectable smoother.
 ///
-/// Large circuits decompose into fixed net blocks: each block accumulates
-/// a per-thread partial gradient, and partials reduce in block order. The
-/// single- and multi-threaded paths share the same block boundaries and
-/// reduction order, so the value and gradient are bit-identical for any
-/// thread count.
-///
 /// # Panics
 ///
 /// Panics on size mismatches (see [`wa_wirelength`]).
@@ -436,45 +385,7 @@ pub fn smoothed_wirelength(
     assert_eq!(positions.len(), n, "positions length mismatch");
     assert_eq!(grad.len(), 2 * n, "gradient length mismatch");
     grad.iter_mut().for_each(|g| *g = 0.0);
-    let n_nets = circuit.nets().len();
-    let blocks = placer_parallel::fixed_blocks(n_nets, net_blocks(n_nets, n));
-    if blocks.len() <= 1 {
-        return accumulate_nets_simd(circuit, positions, gamma, smoothing, 0..n_nets, grad);
-    }
-    if placer_parallel::max_threads() <= 1 {
-        // Same partial-buffer structure as the threaded path so the
-        // floating-point reduction associates identically.
-        let mut partial = vec![0.0; grad.len()];
-        let mut total = 0.0;
-        for r in blocks {
-            partial.iter_mut().for_each(|p| *p = 0.0);
-            total += accumulate_nets_simd(circuit, positions, gamma, smoothing, r, &mut partial);
-            for (g, &p) in grad.iter_mut().zip(&partial) {
-                *g += p;
-            }
-        }
-        return total;
-    }
-    let parts = placer_parallel::par_map(blocks.len(), |b| {
-        let mut partial = vec![0.0; 2 * n];
-        let t = accumulate_nets_simd(
-            circuit,
-            positions,
-            gamma,
-            smoothing,
-            blocks[b].clone(),
-            &mut partial,
-        );
-        (t, partial)
-    });
-    let mut total = 0.0;
-    for (t, partial) in parts {
-        total += t;
-        for (g, &p) in grad.iter_mut().zip(&partial) {
-            *g += p;
-        }
-    }
-    total
+    accumulate_nets_simd(circuit, positions, gamma, smoothing, grad)
 }
 
 /// Exact HPWL with the same pin model as [`wa_wirelength`] (for tests and
@@ -632,7 +543,6 @@ mod tests {
                 &positions,
                 gamma,
                 lse_spread_with_grad,
-                0..c.nets().len(),
                 &mut grad_lse_ref,
             );
             assert!(

@@ -46,8 +46,6 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
 fn perf_grad_hook_allocates_nothing_per_eval() {
-    placer_parallel::set_max_threads(1);
-
     let circuit = testcases::vco1();
     let n = circuit.num_devices();
     let network = Network::default_config(3);
@@ -83,7 +81,6 @@ fn perf_grad_hook_allocates_nothing_per_eval() {
         }
     }
 
-    placer_parallel::set_max_threads(0);
     assert_eq!(
         cleanest, 0,
         "PerfGradHook::eval allocated {cleanest} times in its cleanest 200-call window"

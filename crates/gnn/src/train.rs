@@ -1,12 +1,14 @@
 //! Adam trainer for the performance model.
 //!
 //! [`Trainer::fit`] accumulates each mini-batch's gradients data-parallel
-//! over `placer-parallel`: the batch is cut into [`GRAD_BLOCKS`] fixed
-//! blocks (boundaries depend only on the batch size, never on thread
+//! over `placer_parallel::par_map`: the batch is cut into [`GRAD_BLOCKS`]
+//! fixed blocks (boundaries depend only on the batch size, never on thread
 //! availability), each block sums its samples' [`ParamGrads`] in index
 //! order, and the caller thread reduces the block sums in block order —
-//! so training is **bit-identical for any thread count**, the same
-//! discipline the SA chains follow. The Adam update then walks the
+//! so training is **bit-identical for any thread count**. This is the
+//! finest fan-out in the workspace; it pays because each `par_map` call
+//! covers a whole mini-batch, a few hundred microseconds of
+//! backpropagation on a paper circuit. The Adam update then walks the
 //! `(parameter, gradient)` pairs in place; no flat gradient vector is
 //! materialized per batch.
 
@@ -24,16 +26,44 @@ use crate::{CircuitGraph, Network, TrainScratch};
 /// floating-point reduction order — never depend on available parallelism.
 const GRAD_BLOCKS: usize = 8;
 
-/// Reusable per-block worker state for the parallel gradient accumulation.
+/// One gradient block's reusable state, handed from batch to batch.
 struct BlockAcc {
     /// Forward/backward scratch, rebuilt only when the node count changes.
     scratch: Option<TrainScratch>,
     /// Per-sample gradient target (overwritten by each sample).
     sample: ParamGrads,
-    /// Block-level gradient sum, reduced on the caller thread.
-    acc: ParamGrads,
-    /// Block-level loss sum.
+    /// The block's gradient sum.
+    sum: ParamGrads,
+    /// The block's loss sum.
     loss: f64,
+}
+
+impl BlockAcc {
+    fn new(network: &Network) -> Self {
+        BlockAcc {
+            scratch: None,
+            sample: ParamGrads::zeros(network),
+            sum: ParamGrads::zeros(network),
+            loss: 0.0,
+        }
+    }
+
+    /// Sums the loss gradients of `block`'s samples in index order.
+    fn sum_block(&mut self, network: &Network, samples: &[TrainingSample], block: &[usize]) {
+        self.sum.zero();
+        self.loss = 0.0;
+        for &i in block {
+            let sample = &samples[i];
+            let n = sample.graph.num_nodes();
+            if !matches!(&self.scratch, Some(s) if s.num_nodes() == n) {
+                self.scratch = Some(TrainScratch::new(network, n));
+            }
+            let scratch = self.scratch.as_mut().expect("scratch just ensured");
+            self.loss +=
+                network.loss_gradients_with(&sample.graph, sample.label, scratch, &mut self.sample);
+            self.sum.accumulate(&self.sample);
+        }
+    }
 }
 
 /// One labeled training sample: a circuit graph and whether its FOM fell
@@ -192,18 +222,9 @@ impl Trainer {
         assert!(opts.batch_size > 0, "batch size must be nonzero");
         let mut rng = StdRng::seed_from_u64(opts.seed);
         let mut order: Vec<usize> = (0..samples.len()).collect();
-        // Block accumulators and the reduced batch gradient live for the
-        // whole fit; inside the epoch loop the hot path reuses them.
-        let slots: Vec<Mutex<BlockAcc>> = (0..GRAD_BLOCKS)
-            .map(|_| {
-                Mutex::new(BlockAcc {
-                    scratch: None,
-                    sample: ParamGrads::zeros(network),
-                    acc: ParamGrads::zeros(network),
-                    loss: 0.0,
-                })
-            })
-            .collect();
+        // Block states live for the whole fit: each batch takes them from
+        // the pool and hands them back, so the hot path reuses them.
+        let mut pool = Mutex::new(Vec::new());
         let mut total = ParamGrads::zeros(network);
         let mut last_epoch_loss = f64::INFINITY;
         for epoch in 0..opts.epochs {
@@ -215,36 +236,21 @@ impl Trainer {
             let mut grad_sq = 0.0;
             for chunk in order.chunks(opts.batch_size) {
                 let blocks = placer_parallel::fixed_blocks(chunk.len(), GRAD_BLOCKS);
-                let net_ref: &Network = network;
-                placer_parallel::for_each_block(chunk.len(), GRAD_BLOCKS, |b, range| {
-                    let mut slot = slots[b].lock().expect("unpoisoned block slot");
-                    let slot = &mut *slot;
-                    slot.acc.zero();
-                    slot.loss = 0.0;
-                    for idx in range {
-                        let sample = &samples[chunk[idx]];
-                        let n = sample.graph.num_nodes();
-                        if !matches!(&slot.scratch, Some(s) if s.num_nodes() == n) {
-                            slot.scratch = Some(TrainScratch::new(net_ref, n));
-                        }
-                        let scratch = slot.scratch.as_mut().expect("scratch just ensured");
-                        slot.loss += net_ref.loss_gradients_with(
-                            &sample.graph,
-                            sample.label,
-                            scratch,
-                            &mut slot.sample,
-                        );
-                        slot.acc.accumulate(&slot.sample);
-                    }
+                let net: &Network = network;
+                let accs = placer_parallel::par_map(blocks.len(), |b| {
+                    let taken = pool.lock().expect("unpoisoned pool").pop();
+                    let mut acc = taken.unwrap_or_else(|| BlockAcc::new(net));
+                    acc.sum_block(net, samples, &chunk[blocks[b].clone()]);
+                    acc
                 });
                 // In-order reduce on the caller thread: block boundaries and
                 // this loop fix the summation order for every thread count.
                 total.zero();
-                for slot in slots.iter().take(blocks.len()) {
-                    let slot = slot.lock().expect("unpoisoned block slot");
-                    total.accumulate(&slot.acc);
-                    epoch_loss += slot.loss;
+                for acc in &accs {
+                    total.accumulate(&acc.sum);
+                    epoch_loss += acc.loss;
                 }
+                pool.get_mut().expect("unpoisoned pool").extend(accs);
                 total.scale(1.0 / chunk.len() as f64);
                 grad_sq += self.adam_step_in_place(network, &total, opts.learning_rate);
             }

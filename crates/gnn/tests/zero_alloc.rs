@@ -45,8 +45,6 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
 fn scratch_paths_allocate_nothing_after_construction() {
-    placer_parallel::set_max_threads(1);
-
     let circuit = testcases::comp1();
     let n = circuit.num_devices();
     let mut placement = Placement::new(n);
@@ -93,7 +91,6 @@ fn scratch_paths_allocate_nothing_after_construction() {
         }
     }
 
-    placer_parallel::set_max_threads(0);
     assert_eq!(
         cleanest, 0,
         "GNN scratch paths allocated {cleanest} times in their cleanest 50-round window"

@@ -9,8 +9,7 @@
 //!   schedule and per-stage twiddle tables once and reuse them for every
 //!   transform of the same size. The planned path is what the hot loops
 //!   (the Poisson solve inside density evaluation) use: it performs no
-//!   heap allocation and, for 2-D transforms, fans row/column passes out
-//!   over threads via `placer-parallel`.
+//!   heap allocation.
 
 use crate::Complex;
 
@@ -238,18 +237,11 @@ impl FftPlan {
     }
 }
 
-/// Number of row-aligned chunks transforms fan out into; fixed so chunk
-/// boundaries (and therefore results) never depend on the thread count.
-const ROW_BLOCKS: usize = 16;
-
 /// A precomputed 2-D FFT over row-major `rows × cols` grids.
 ///
 /// Shares one [`FftPlan`] per axis across all rows/columns. The column
 /// pass works on a transposed copy in caller-provided scratch so every 1-D
-/// transform runs on contiguous memory; both passes (and the transposes)
-/// are fanned out over threads when `placer-parallel` has them. The
-/// transform itself allocates only inside worker threads (a per-worker
-/// row buffer), and nothing at all on the single-threaded path.
+/// transform runs on contiguous memory. The transform allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Fft2Plan {
     rows: usize,
@@ -328,33 +320,25 @@ impl Fft2Plan {
     }
 }
 
-/// Runs `plan` over every contiguous `row_len` row of `data`, fanning rows
-/// out over threads. Rows are independent, so results are identical for any
-/// thread count.
+/// Runs `plan` over every contiguous `row_len` row of `data`.
 fn plan_rows(data: &mut [Complex], row_len: usize, plan: &FftPlan, inverse: bool) {
-    placer_parallel::for_each_row_chunk_mut(data, row_len, ROW_BLOCKS, |_, _, chunk| {
-        for row in chunk.chunks_exact_mut(row_len) {
-            if inverse {
-                plan.inverse(row);
-            } else {
-                plan.forward(row);
-            }
+    for row in data.chunks_exact_mut(row_len) {
+        if inverse {
+            plan.inverse(row);
+        } else {
+            plan.forward(row);
         }
-    });
+    }
 }
 
-/// Transposes row-major `rows × cols` `src` into `cols × rows` `dst`,
-/// parallelized over destination rows.
+/// Transposes row-major `rows × cols` `src` into `cols × rows` `dst`.
 fn transpose(src: &[Complex], rows: usize, cols: usize, dst: &mut [Complex]) {
     let src = &src[..rows * cols];
-    placer_parallel::for_each_row_chunk_mut(dst, rows, ROW_BLOCKS, |_, first_row, chunk| {
-        for (i, out_row) in chunk.chunks_exact_mut(rows).enumerate() {
-            let c = first_row + i;
-            for (r, slot) in out_row.iter_mut().enumerate() {
-                *slot = src[r * cols + c];
-            }
+    for (c, out_row) in dst.chunks_exact_mut(rows).enumerate() {
+        for (r, slot) in out_row.iter_mut().enumerate() {
+            *slot = src[r * cols + c];
         }
-    });
+    }
 }
 
 /// Naive `O(N²)` DFT used as a test oracle.

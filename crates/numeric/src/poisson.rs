@@ -18,8 +18,7 @@
 //! Construction precomputes the DCT plans, the `−1/λ(u,v)` eigenvalue
 //! table, and all working buffers; [`PoissonSolver::solve_into`] then runs
 //! without a single heap allocation (verified by an allocation-counting
-//! test). Row passes fan out over threads via `placer-parallel`, with
-//! results identical for any thread count.
+//! test). Every pass runs on the calling thread.
 
 use crate::dct::DctPlan;
 use crate::{fft2, ifft2, is_power_of_two, Complex, Grid};
@@ -72,10 +71,6 @@ impl SolveBufs {
         }
     }
 }
-
-/// Number of row-aligned chunks the per-axis passes fan out into; fixed so
-/// results never depend on the thread count.
-const ROW_BLOCKS: usize = 16;
 
 impl PoissonSolver {
     /// Creates a solver for an `nx × ny` grid with cell sizes `hx × hy`.
@@ -165,7 +160,7 @@ impl PoissonSolver {
     }
 
     /// Solves into a caller-provided grid, reusing the solver's internal
-    /// scratch: zero heap allocations per call (single-threaded path).
+    /// scratch: zero heap allocations per call.
     ///
     /// # Panics
     ///
@@ -333,34 +328,17 @@ impl PoissonSolver {
     }
 }
 
-/// Runs the DCT plan over every `row_len` row of `data`.
-///
-/// On the single-threaded path every row shares the solver's scratch
-/// (zero allocation). With threads, each worker chunk allocates one local
-/// scratch row — thread spawning allocates anyway, and results are
-/// identical because rows are independent.
+/// Runs the DCT plan over every `row_len` row of `data`, every row sharing
+/// the solver's scratch.
 fn dct_rows(data: &mut [f64], row_len: usize, plan: &DctPlan, forward: bool, cplx: &mut [Complex]) {
-    if placer_parallel::max_threads() <= 1 {
-        let scratch = &mut cplx[..row_len];
-        for row in data.chunks_exact_mut(row_len) {
-            if forward {
-                plan.dct_ii(row, scratch);
-            } else {
-                plan.dct_iii(row, scratch);
-            }
+    let scratch = &mut cplx[..row_len];
+    for row in data.chunks_exact_mut(row_len) {
+        if forward {
+            plan.dct_ii(row, scratch);
+        } else {
+            plan.dct_iii(row, scratch);
         }
-        return;
     }
-    placer_parallel::for_each_row_chunk_mut(data, row_len, ROW_BLOCKS, |_, _, chunk| {
-        let mut scratch = vec![Complex::ZERO; row_len];
-        for row in chunk.chunks_exact_mut(row_len) {
-            if forward {
-                plan.dct_ii(row, &mut scratch);
-            } else {
-                plan.dct_iii(row, &mut scratch);
-            }
-        }
-    });
 }
 
 /// Transposes row-major `rows × cols` `src` into `cols × rows` `dst`.

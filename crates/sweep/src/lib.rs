@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod backend;
 mod pareto;
 mod race;
 mod result;
@@ -51,7 +50,6 @@ use eplace::ArtifactCache;
 use placer_jobs::{make_placer_variant, JobReport, JobStatus};
 use placer_telemetry::Counter;
 
-pub use backend::{auto_backend, ParallelBackend, SerialBackend, SweepBackend};
 pub use pareto::{pareto_front, ParetoPoint};
 pub use race::{race, RaceConfig, Racer, RacerEnd, RacerResult};
 pub use result::{SweepResult, VariantResult};
@@ -68,16 +66,14 @@ pub struct SweepEngine {
     /// inject one with [`with_cache`](Self::with_cache) to amortize across
     /// sweeps (the jobs engine's cache is compatible).
     pub cache: Arc<ArtifactCache>,
-    backend: Option<Box<dyn SweepBackend + Send + Sync>>,
 }
 
 impl SweepEngine {
-    /// Creates an engine with a fresh cache and automatic backend choice.
+    /// Creates an engine with a fresh cache.
     pub fn new(config: SweepConfig) -> Self {
         Self {
             config,
             cache: Arc::new(ArtifactCache::new()),
-            backend: None,
         }
     }
 
@@ -89,16 +85,9 @@ impl SweepEngine {
         self
     }
 
-    /// Pins the execution backend instead of auto-selecting by worker
-    /// count. Any backend must preserve group order (see
-    /// [`SweepBackend`]).
-    #[must_use]
-    pub fn with_backend(mut self, backend: Box<dyn SweepBackend + Send + Sync>) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Runs the sweep to completion.
+    /// Runs the sweep to completion. Variants race concurrently over
+    /// [`placer_parallel::par_map`], which returns them in variant order,
+    /// so the result is the same for any thread count.
     ///
     /// # Errors
     ///
@@ -115,19 +104,13 @@ impl SweepEngine {
             .ok_or_else(|| format!("unknown circuit `{}`", self.config.circuit))?;
 
         let variants = self.config.variants();
-        let backend: &dyn SweepBackend = match &self.backend {
-            Some(b) => b.as_ref(),
-            None => auto_backend(),
-        };
-        let run_one = |i: usize| self.run_variant(&variants[i]);
-        let results = backend.run_groups(variants.len(), &run_one);
+        let results = placer_parallel::par_map(variants.len(), |i| self.run_variant(&variants[i]));
         let pareto = SweepResult::build_pareto(&results);
         Ok(SweepResult {
             variants: results,
             pareto,
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
-            backend: backend.name(),
         })
     }
 

@@ -38,8 +38,6 @@ pub struct SweepResult {
     pub cache_hits: u64,
     /// Artifact-cache misses observed by the sweep's cache.
     pub cache_misses: u64,
-    /// The backend that scheduled the races (`serial` / `parallel`).
-    pub backend: &'static str,
 }
 
 impl SweepResult {

@@ -9,8 +9,8 @@
 
 use analog_netlist::{parser, testcases, Circuit};
 use eplace::{ArtifactCache, PlaceOutcome, Placer, RunBudget};
-use placer_jobs::{make_placer, Profile};
-use placer_sweep::{ParallelBackend, SerialBackend, SweepConfig, SweepEngine};
+use placer_jobs::{make_placer, normalize_timing, Profile};
+use placer_sweep::{SweepConfig, SweepEngine};
 use proptest::prelude::*;
 
 const PLACERS: [&str; 4] = ["eplace-a", "eplace-ap", "sa", "xu19"];
@@ -116,8 +116,7 @@ proptest! {
 }
 
 /// Racing determinism across thread counts: the same aggressive sweep run
-/// serially on one worker and in parallel on four produces byte-identical
-/// reports (modulo wall-clock) and an identical Pareto front, with at
+/// on one worker and on four produces byte-identical reports (modulo wall-clock) and an identical Pareto front, with at
 /// least one racer early-killed so the kill path itself is covered.
 #[test]
 fn racing_is_bit_identical_across_thread_counts() {
@@ -135,68 +134,28 @@ fn racing_is_bit_identical_across_thread_counts() {
     };
 
     placer_parallel::set_max_threads(1);
-    let serial = SweepEngine::new(config.clone())
-        .with_backend(Box::new(SerialBackend))
+    let one = SweepEngine::new(config.clone())
         .run()
-        .expect("serial sweep succeeds");
+        .expect("1-thread sweep succeeds");
     placer_parallel::set_max_threads(4);
-    let parallel = SweepEngine::new(config)
-        .with_backend(Box::new(ParallelBackend))
+    let four = SweepEngine::new(config)
         .run()
-        .expect("parallel sweep succeeds");
+        .expect("4-thread sweep succeeds");
     placer_parallel::set_max_threads(0);
 
-    assert!(serial.killed() >= 1, "aggressive policy must kill a racer");
-    assert!(!serial.pareto.is_empty(), "finished racers imply a front");
-
-    let normalize = |jsonl: &str| -> String {
-        jsonl
-            .lines()
-            .map(|line| {
-                let mut out = String::new();
-                let mut rest = line;
-                while let Some(pos) = rest.find("\"wall_ms\": ") {
-                    let start = pos + "\"wall_ms\": ".len();
-                    out.push_str(&rest[..start]);
-                    out.push('0');
-                    let tail = &rest[start..];
-                    rest = &tail[tail.find([',', '}']).unwrap_or(tail.len())..];
-                }
-                out + rest + "\n"
-            })
-            .collect()
-    };
+    assert!(one.killed() >= 1, "aggressive policy must kill a racer");
+    assert!(!one.pareto.is_empty(), "finished racers imply a front");
     assert_eq!(
-        normalize(&serial.to_jsonl()),
-        normalize(&parallel.to_jsonl()),
+        normalize_timing(&one.to_jsonl()),
+        normalize_timing(&four.to_jsonl()),
         "reports must not depend on the worker-pool size"
     );
-    assert_eq!(serial.pareto, parallel.pareto);
+    assert_eq!(one.pareto, four.pareto);
 }
 
-/// Zeroes `"wall_ms"` values so timing-only differences cannot fail a
-/// byte comparison between two sweep runs.
-fn normalize_wall_ms(jsonl: &str) -> String {
-    jsonl
-        .lines()
-        .map(|line| {
-            let mut out = String::new();
-            let mut rest = line;
-            while let Some(pos) = rest.find("\"wall_ms\": ") {
-                let start = pos + "\"wall_ms\": ".len();
-                out.push_str(&rest[..start]);
-                out.push('0');
-                let tail = &rest[start..];
-                rest = &tail[tail.find([',', '}']).unwrap_or(tail.len())..];
-            }
-            out + rest + "\n"
-        })
-        .collect()
-}
-
-/// The aspect/relax axes preserve both determinism contracts: a serial
-/// one-worker sweep and a parallel four-worker sweep over the expanded
-/// variant grid agree byte-for-byte, and the neutral point of each axis
+/// The aspect/relax axes preserve both determinism contracts: a one-worker
+/// sweep and a four-worker sweep over the expanded variant grid agree
+/// byte-for-byte, and the neutral point of each axis
 /// (aspect 1.0, relax 0.0) reports figures bit-identical to a sweep that
 /// never mentions the axes.
 #[test]
@@ -214,30 +173,28 @@ fn aspect_and_relax_axes_stay_deterministic() {
     };
 
     placer_parallel::set_max_threads(1);
-    let serial = SweepEngine::new(config.clone())
-        .with_backend(Box::new(SerialBackend))
+    let one = SweepEngine::new(config.clone())
         .run()
-        .expect("serial sweep succeeds");
+        .expect("1-thread sweep succeeds");
     placer_parallel::set_max_threads(4);
-    let parallel = SweepEngine::new(config)
-        .with_backend(Box::new(ParallelBackend))
+    let four = SweepEngine::new(config)
         .run()
-        .expect("parallel sweep succeeds");
+        .expect("4-thread sweep succeeds");
     placer_parallel::set_max_threads(0);
 
-    assert_eq!(serial.variants.len(), 4, "2 aspects × 2 relaxations");
+    assert_eq!(one.variants.len(), 4, "2 aspects × 2 relaxations");
     assert_eq!(
-        normalize_wall_ms(&serial.to_jsonl()),
-        normalize_wall_ms(&parallel.to_jsonl()),
+        normalize_timing(&one.to_jsonl()),
+        normalize_timing(&four.to_jsonl()),
         "axis expansion must not depend on the worker-pool size"
     );
-    assert_eq!(serial.pareto, parallel.pareto);
+    assert_eq!(one.pareto, four.pareto);
 
     // Variant 0 is (aspect 1.0, relax 0.0): the neutral overrides must be
     // bit-identical to the axis-free baseline (√1 = 1 and ×1.0 scaling
     // are exact), so turning the axes on cannot perturb existing sweeps.
     let baseline = SweepEngine::new(base).run().expect("baseline succeeds");
-    let neutral = &serial.variants[0];
+    let neutral = &one.variants[0];
     assert_eq!(
         (neutral.variant.aspect, neutral.variant.relax),
         (Some(1.0), Some(0.0))

@@ -1,11 +1,13 @@
 //! The `Placer` contracts, checked on the smallest paper circuit for every
 //! placer the job engine can build: cached ≡ cold, resume ≡ uninterrupted,
-//! "Exhausted is legal", ECO fallback ≡ cold, and one thread ≡ many.
+//! "Exhausted is legal", ECO fallback ≡ cold, and one thread ≡ many (also
+//! for a sweep race).
 
 use analog_netlist::{testcases, NetlistDelta};
 use eplace::{eco, Checkpoint, CircuitArtifacts, EcoConfig, PlaceSolution, Placer, RunBudget};
-use placer_jobs::{make_placer, Profile};
+use placer_jobs::{make_placer, normalize_timing, Profile};
 use placer_sa::{SaConfig, SaPlacer};
+use placer_sweep::{RaceConfig, SweepConfig, SweepEngine};
 
 const PLACERS: [&str; 4] = ["eplace-a", "eplace-ap", "sa", "xu19"];
 
@@ -109,11 +111,11 @@ fn eco_fallback_matches_a_cold_run_on_the_edited_circuit() {
 
 #[test]
 fn one_thread_and_four_threads_place_identically() {
-    // `PLACER_THREADS=1` is the single-threaded build: every fan-out runs
-    // inline. SA runs short chains inline at any thread count, so its
-    // four chains get enough moves (24 × 1,900 × 11 devices) to fan out.
-    // Under seed 2 a later chain wins, so a fan-out that runs chain 0 or 1
-    // in place of another changes the placement.
+    // At one thread `par_map` is a plain loop on the calling thread. SA
+    // runs short chains inline at any thread count, so its four chains get
+    // enough moves (24 × 1,900 × 11 devices) to fan out. Under seed 2 a
+    // later chain wins, so a fan-out that runs chain 0 or 1 in place of
+    // another changes the placement.
     let bundle = CircuitArtifacts::build(testcases::adder());
     let chains = SaConfig::builder()
         .temperatures(24)
@@ -133,5 +135,26 @@ fn one_thread_and_four_threads_place_identically() {
         let four = solution(p.place_artifacts(&bundle, &unlimited).unwrap(), name);
         assert_same(&one, &four, &format!("{name}: 1 vs 4 threads"));
     }
+
+    // A small sweep race: its variants fan out over `par_map`, the sweep's
+    // only scheduling path.
+    let race = SweepConfig {
+        circuit: "adder".into(),
+        placers: vec!["sa".into(), "xu19".into(), "eplace-a".into()],
+        seeds: vec![1, 2],
+        profile: Profile::Small,
+        race: RaceConfig {
+            rounds: 2,
+            ..RaceConfig::default()
+        },
+        ..SweepConfig::default()
+    };
+    let mut sweeps = Vec::new();
+    for threads in [1, 4] {
+        placer_parallel::set_max_threads(threads);
+        let result = SweepEngine::new(race.clone()).run().expect("sweep runs");
+        sweeps.push((normalize_timing(&result.to_jsonl()), result.pareto));
+    }
     placer_parallel::set_max_threads(0);
+    assert_eq!(sweeps[0], sweeps[1], "sweep race: 1 vs 4 threads");
 }

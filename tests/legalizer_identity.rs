@@ -8,7 +8,10 @@
 //! the four builds its model (row or column order, bounds, costs) can move
 //! a simplex pivot and then shows up here as a different hash.
 
+mod common;
+
 use analog_netlist::{testcases, Circuit, Placement};
+use common::Fnv;
 use eplace::{eco, DetailedConfig, EcoConfig, PlaceError};
 use placer_mathopt::SolveError;
 use rand::rngs::StdRng;
@@ -72,18 +75,9 @@ fn outcome(result: Result<Placement, PlaceError>, circuit: &Circuit, what: &str)
         "{} {what}: illegal",
         circuit.name()
     );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    for (&(x, y), &(fx, fy)) in p.positions.iter().zip(&p.flips) {
-        eat(x.to_bits());
-        eat(y.to_bits());
-        eat(u64::from(fx) | u64::from(fy) << 1);
-    }
-    Hash(h)
+    let mut h = Fnv::new();
+    h.placement(&p);
+    Hash(h.0)
 }
 
 #[test]

@@ -104,7 +104,6 @@ fn anneal_is_bit_identical_with_and_without_tracing() {
 
 #[test]
 fn global_place_is_bit_identical_with_and_without_tracing() {
-    placer_parallel::set_max_threads(1);
     let circuit = testcases::cc_ota();
     let config = PlacerConfig::default();
 
@@ -125,5 +124,4 @@ fn global_place_is_bit_identical_with_and_without_tracing() {
         run_perf_global(&circuit, &config.global, &perf, &network)
     });
     assert_same_placement(&traced, &untraced, "global place (with Φ)");
-    placer_parallel::set_max_threads(0);
 }

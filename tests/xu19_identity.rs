@@ -14,7 +14,10 @@
 //! A change to any float operation's order in the objective moves a CG
 //! line search and shows up here as a different hash.
 
-use analog_netlist::{testcases, Placement};
+mod common;
+
+use analog_netlist::testcases;
+use common::{pinned_row, Fnv};
 use eplace::{CircuitArtifacts, EcoConfig, PlaceSolution, Placer, RunBudget};
 use placer_jobs::{make_placer, Profile};
 use placer_xu19::{run_global, Xu19GlobalConfig, Xu19Placer};
@@ -41,36 +44,6 @@ const PINNED_ECO: u64 = 0xf2bc327e8d2af1c4;
 const PINNED_PERF: u64 = 0xb6da48c5b51e593d;
 
 const SEEDS: [u64; 3] = [1, 17, 4242];
-
-/// FNV-1a over a stream of 64-bit words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, bits: u64) {
-        for b in bits.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn placement(&mut self, p: &Placement) {
-        for (&(x, y), &(fx, fy)) in p.positions.iter().zip(&p.flips) {
-            self.eat(x.to_bits());
-            self.eat(y.to_bits());
-            self.eat(u64::from(fx) | u64::from(fy) << 1);
-        }
-    }
-
-    fn solution(&mut self, s: &PlaceSolution) {
-        self.placement(&s.placement);
-        self.eat(s.hpwl.to_bits());
-        self.eat(s.area.to_bits());
-        self.eat(s.iterations as u64);
-    }
-}
 
 fn default_xu19() -> Box<dyn Placer> {
     make_placer("xu19", Profile::Default, None)
@@ -109,10 +82,7 @@ fn xu19_reproduces_its_pinned_runs() {
         ));
         let got = [global.0, placed.0];
         if &got != expected {
-            mismatches.push(format!(
-                "(\"{name}\", [0x{:016x}, 0x{:016x}]),",
-                got[0], got[1]
-            ));
+            mismatches.push(pinned_row(name, got));
         }
     }
 

@@ -3,6 +3,9 @@
 //! the Nesterov iteration, the GNN CSR gradient hook and Xu19's CG
 //! objective — each wrapped in the same span / event / counter
 //! instrumentation the solvers use — never touch the heap after warm-up.
+//! ePlace's density and wirelength kernels, which allocate their returned
+//! gradient and staging arrays, allocate the same at one thread and at
+//! four: every kernel runs on its caller's thread.
 //!
 //! A live [`placer_obs::progress`] sink is installed for the whole run, so
 //! the counting allocator also covers the observer tap (mapped `gp_iter`
@@ -63,6 +66,7 @@ static MOVE_SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("
 static STEP_SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("test_step");
 static PHI_SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("test_phi");
 static XU_SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("test_xu19");
+static EP_SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("test_eplace");
 
 fn random_swap(state: &mut SaState, rng: &mut StdRng) {
     let m = state.seq_pair.s1.len();
@@ -76,10 +80,8 @@ fn random_swap(state: &mut SaState, rng: &mut StdRng) {
 
 #[test]
 fn hot_loops_stay_zero_alloc_with_live_telemetry() {
-    // Zero-allocation contracts hold on the single-threaded path (thread
-    // spawning itself allocates, unavoidably).
-    placer_parallel::set_max_threads(1);
-
+    // No measured loop fans out, so the thread count is left at its
+    // default; the ePlace window below measures at one thread and at four.
     let sink = std::env::temp_dir().join(format!(
         "placer_zero_alloc_telemetry_{}.jsonl",
         std::process::id()
@@ -309,6 +311,44 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
     let (short_allocs, short_iters) = one_round(4);
     let (long_allocs, long_iters) = one_round(40);
 
+    // --- ePlace's density and WA kernels on VCO2, at 1 and 4 threads. ---
+    // One `DensityGrid::evaluate` (scatter, Poisson solve, field, gather)
+    // and one WA `smoothed_wirelength` per step on ePlace's 32×32 grid.
+    let ep_circuit = testcases::vco2();
+    let en = ep_circuit.num_devices();
+    let eside = (ep_circuit.total_device_area() / 0.5).sqrt();
+    let mut density = eplace::DensityGrid::new((0.0, 0.0), (eside, eside), 32);
+    let epts: Vec<(f64, f64)> = (0..en)
+        .map(|i| {
+            (
+                eside * (0.2 + 0.6 * (i % 6) as f64 / 6.0),
+                eside * (0.2 + 0.6 * (i / 6) as f64 / 6.0),
+            )
+        })
+        .collect();
+    let mut wgrad = vec![0.0f64; 2 * en];
+    let mut eplace_window = |threads: usize| {
+        placer_parallel::set_max_threads(threads);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..20 {
+            let _span = EP_SPAN.enter();
+            let eval = density.evaluate(&ep_circuit, &epts);
+            let wl = eplace::wirelength::smoothed_wirelength(
+                &ep_circuit,
+                &epts,
+                1.0,
+                &mut wgrad,
+                eplace::Smoothing::Wa,
+            );
+            placer_telemetry::record("test_eplace", &[("energy", eval.energy), ("wl", wl)]);
+        }
+        placer_telemetry::flush();
+        ALLOCATIONS.load(Ordering::SeqCst) - before
+    };
+    eplace_window(1);
+    let eplace_one = eplace_window(1);
+    let eplace_four = eplace_window(4);
+
     progress::job_done("zero-alloc", "complete", 1.0, Some(cost.total));
     placer_telemetry::flush_stats();
     progress::uninstall();
@@ -354,6 +394,11 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
         "Xu19 CG allocates per iteration: {long_allocs} allocations over {long_iters} \
          iterations against {short_allocs} over {short_iters}"
     );
+    assert_eq!(
+        eplace_one, eplace_four,
+        "ePlace density + WA kernels allocated {eplace_one} times over 20 steps at one thread \
+         and {eplace_four} at four"
+    );
     // Sanity: the instrumentation was live, not skipped as inactive.
     assert_eq!(MOVES.value(), 532);
     assert_eq!(COSTS.count(), 732);
@@ -361,4 +406,5 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
     assert_eq!(STEP_SPAN.calls(), 216);
     assert_eq!(PHI_SPAN.calls(), 208);
     assert_eq!(XU_SPAN.calls(), 208);
+    assert_eq!(EP_SPAN.calls(), 60);
 }
