@@ -667,22 +667,6 @@ fn main() {
         let d_positions = spiral_positions(&d_circuit, d_side);
         let mut d_grid = DensityGrid::new((0.0, 0.0), (d_side, d_side), GRID);
 
-        let sa_circuit = testcases::cc_ota();
-        let sa_model = BlockModel::new(&sa_circuit);
-        let sa_cfg = SaConfig::default();
-        let sa_n = sa_circuit.num_devices();
-        let mut sa_rng = StdRng::seed_from_u64(7);
-        let mut sa_state = SaState {
-            seq_pair: SequencePair::identity(sa_model.len()),
-            flips: vec![(false, false); sa_n],
-        };
-        for _ in 0..4 * sa_model.len() {
-            random_move(&mut sa_state, sa_n, &mut sa_rng);
-        }
-        let mut sa_eval = MoveEvaluator::new(&sa_circuit, &sa_model, &sa_cfg, &sa_state, None);
-        let mut sa_trial = sa_state.clone();
-        let sa_moves = 1000;
-
         // Reference legs once, pinned to scalar: the "before" column is the
         // seed cost, identical for every lane of the same kernel.
         placer_simd::force(Some(Backend::Scalar));
@@ -697,14 +681,6 @@ fn main() {
         let d_before = time_median(samples, || {
             std::hint::black_box(d_grid.evaluate_reference(&d_circuit, &d_positions));
         });
-        let sa_before = time_median(samples, || {
-            let mut rng = StdRng::seed_from_u64(99);
-            for _ in 0..sa_moves {
-                sa_trial.copy_from(&sa_state);
-                random_move(&mut sa_trial, sa_n, &mut rng);
-                std::hint::black_box(evaluate(&sa_circuit, &sa_model, &sa_trial, &sa_cfg, None));
-            }
-        });
 
         for isa in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
             if isa > placer_simd::detected() {
@@ -713,7 +689,7 @@ fn main() {
                 // records the list so a baseline consumer can tell a
                 // skipped lane from a deleted one.
                 let reason = format!("host supports up to {}", placer_simd::detected().name());
-                for kernel in ["wa_grad", "density_eval", "sa_move"] {
+                for kernel in ["wa_grad", "density_eval"] {
                     skipped.push((format!("{kernel}/{}", isa.name()), reason.clone()));
                 }
                 continue;
@@ -741,20 +717,6 @@ fn main() {
                 detail: format!("{GRID}x{GRID} grid, 1500 devices, seed reference vs dispatched"),
                 before_ms: d_before * 1e3,
                 after_ms: d_after * 1e3,
-            });
-            let sa_after = time_median(samples, || {
-                let mut rng = StdRng::seed_from_u64(99);
-                for _ in 0..sa_moves {
-                    sa_trial.copy_from(&sa_state);
-                    random_move(&mut sa_trial, sa_n, &mut rng);
-                    std::hint::black_box(sa_eval.eval_trial(&sa_trial));
-                }
-            });
-            rows.push(BenchRow {
-                name: format!("sa_move/{}", isa.name()),
-                detail: format!("cc_ota, {sa_moves} trial moves, oracle vs dispatched"),
-                before_ms: sa_before * 1e3,
-                after_ms: sa_after * 1e3,
             });
         }
         // Back to env/CPUID resolution so the fingerprint below records the

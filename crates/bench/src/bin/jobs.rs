@@ -1,8 +1,10 @@
-//! Runs a batch of placement jobs described as JSONL [`JobSpec`]s.
+//! Runs a batch of placement jobs described as JSONL
+//! [`JobSpec`](placer_jobs::JobSpec)s.
 //!
 //! Reads one JSON object per line from the input file (or stdin when the
 //! path is `-`), fans the jobs out over the worker pool, and prints one
-//! [`JobReport`] JSON object per job, in input order.
+//! [`JobReport`](placer_jobs::JobReport) JSON object per job, in input
+//! order.
 //!
 //! ```text
 //! jobs SPECS.jsonl [--checkpoint-dir DIR] [--placements-dir DIR]

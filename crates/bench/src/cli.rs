@@ -21,6 +21,7 @@ use std::time::Instant;
 use placer_jobs::JobStatus;
 use placer_obs::metrics::MetricsSnapshot;
 use placer_obs::progress::{self, ProgressMode};
+use placer_parallel::parse_threads;
 
 use crate::trace::{finish_batch_trace, install_batch_trace, parse_progress_mode, TRACE_DIR};
 
@@ -35,18 +36,8 @@ pub fn value(flag: &str, it: &mut std::slice::Iter<'_, String>) -> Result<String
         .ok_or_else(|| format!("`{flag}` needs a value"))
 }
 
-/// Parses a worker-thread count: a positive integer. Zero is refused
-/// because `placer_parallel::set_max_threads(0)` clears the override and
-/// runs on every hardware thread.
-fn parse_threads(v: &str) -> Result<usize, String> {
-    match v.parse() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("bad thread count `{v}` (want a positive integer)")),
-    }
-}
-
 /// Checks a `PLACER_THREADS` value (`None` when unset) by the `--threads`
-/// rule.
+/// rule, [`parse_threads`].
 fn thread_env_value(value: Option<&OsStr>) -> Result<(), String> {
     match value {
         None => Ok(()),

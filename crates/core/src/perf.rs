@@ -40,7 +40,8 @@ impl<'a> PerfGradHook<'a> {
         Self::from_graph(graph, network, alpha, n)
     }
 
-    /// Builds the hook from a pre-built shared [`GraphTopology`] — the
+    /// Builds the hook from a pre-built shared
+    /// [`GraphTopology`](placer_gnn::GraphTopology) — the
     /// amortized path: the adjacency/CSR plan is stamped out of the
     /// topology instead of rebuilt from the circuit. Bit-identical to
     /// [`new`](Self::new) (see [`CircuitGraph::from_topology`]).

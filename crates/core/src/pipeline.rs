@@ -21,6 +21,19 @@ fn bad_checkpoint(message: String) -> PlaceError {
     PlaceError::BadCheckpoint(CheckpointError { line: 0, message })
 }
 
+/// The attempt a checkpoint was cut in, refused when it lies past this
+/// engine's `attempts` (a checkpoint cut under a profile with more
+/// restarts).
+fn get_attempt(ck: &Checkpoint, attempts: usize) -> Result<usize, PlaceError> {
+    let attempt = ck.get_u64("attempt")?;
+    if attempt >= attempts as u64 {
+        return Err(bad_checkpoint(format!(
+            "`attempt` {attempt} out of range for {attempts} restarts"
+        )));
+    }
+    Ok(attempt as usize)
+}
+
 fn check_n(ck: &Checkpoint, circuit: &Circuit) -> Result<usize, PlaceError> {
     let n = circuit.num_devices();
     let stored = ck.get_u64("n")? as usize;
@@ -298,7 +311,7 @@ impl EPlaceA {
         if let Some(ck) = resume {
             expect_placer(ck, "eplace-a")?;
             check_n(ck, circuit)?;
-            start_k = ck.get_u64("attempt")? as usize;
+            start_k = get_attempt(ck, attempts)?;
             if ck.get_u64("has_best")? == 1 {
                 best = Some(get_result(ck, "best_", n)?);
             }
@@ -507,7 +520,7 @@ impl EPlaceAP {
         if let Some(ck) = resume {
             expect_placer(ck, "eplace-ap")?;
             check_n(ck, circuit)?;
-            start_k = ck.get_u64("attempt")? as usize;
+            start_k = get_attempt(ck, attempts)?;
             if ck.get_u64("has_best")? == 1 {
                 best = Some((ck.get_f64("best_score")?, get_result(ck, "best_", n)?));
             }
@@ -787,6 +800,46 @@ mod tests {
             );
             assert_eq!(sol.hpwl.to_bits(), reference.hpwl.to_bits());
         }
+    }
+
+    /// Cancels `placer` on adder at each check in `cancel_at`, moves the
+    /// checkpoint's `attempt` past the restart count and asserts that the
+    /// resume refuses it.
+    fn out_of_range_attempts_are_refused(placer: &dyn Placer, cancel_at: &[u64]) {
+        let circuit = testcases::adder();
+        for &at in cancel_at {
+            let budget = RunBudget::unlimited();
+            budget.cancel_after_checks(at);
+            let outcome = Placer::place(placer, &circuit, &budget).unwrap();
+            let text = outcome.checkpoint().expect("cancelled").encode();
+            let line = text
+                .lines()
+                .find(|l| l.starts_with("u attempt "))
+                .expect("attempt field");
+            let ck = Checkpoint::decode(&text.replace(line, "u attempt 7")).unwrap();
+            let err = placer
+                .resume(&circuit, &ck, &RunBudget::unlimited())
+                .unwrap_err();
+            assert!(
+                matches!(err, PlaceError::BadCheckpoint(_)),
+                "cancel at check {at}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn eplace_a_resume_refuses_an_out_of_range_attempt() {
+        // Check 3 is in the first attempt (no best yet), check 95 in the
+        // second (a stored best).
+        out_of_range_attempts_are_refused(&EPlaceA::new(small_config()), &[3, 95]);
+    }
+
+    #[test]
+    fn eplace_ap_resume_refuses_an_out_of_range_attempt() {
+        let network = Network::default_config(2);
+        let placer = EPlaceAP::new(small_config(), PerfConfig::new(0.5, 20.0), network);
+        // As for ePlace-A: one check in each attempt.
+        out_of_range_attempts_are_refused(&placer, &[11, 90]);
     }
 
     #[test]

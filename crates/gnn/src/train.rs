@@ -178,9 +178,10 @@ impl Trainer {
     /// Trains the network with mini-batch Adam on cross-entropy loss.
     /// Returns the mean loss of the final epoch.
     ///
-    /// Gradients are accumulated data-parallel over [`GRAD_BLOCKS`] fixed
-    /// blocks per batch and reduced in block order, so the trained network
-    /// is bit-identical for any thread count (see the module docs).
+    /// Gradients are accumulated data-parallel over a fixed number of
+    /// blocks per batch (`GRAD_BLOCKS`) and reduced in block order, so the
+    /// trained network is bit-identical for any thread count (see the
+    /// module docs).
     ///
     /// # Panics
     ///

@@ -4,11 +4,12 @@
 //! rings, counters, histograms, spans) into the layer an operator actually
 //! watches a run through:
 //!
-//! * [`progress`] — a live [`progress::ProgressSink`]: solver loop events
-//!   (Nesterov iteration, SA temperature level, Xu19 round, GNN epoch) are
-//!   tapped via the telemetry observer hook, rate-limited per thread,
-//!   pushed into a bounded non-blocking ring, and drained by a reporter
-//!   thread into human or JSONL status lines on stderr (or a file).
+//! * [`progress`] — a live progress sink ([`progress::install`]): solver
+//!   loop events (Nesterov iteration, SA temperature level, Xu19 round, GNN
+//!   epoch) are tapped via the telemetry observer hook, rate-limited per
+//!   thread, pushed into a bounded non-blocking ring, and drained by a
+//!   reporter thread into human or JSONL status lines on stderr (or a
+//!   file).
 //!   Per-job context (label, deadline) attaches budget slack and an ETA
 //!   estimate to each event.
 //! * [`metrics`] — [`metrics::MetricsSnapshot`]: a point-in-time copy of

@@ -1,13 +1,13 @@
 //! Live progress streaming from solver instrumentation points.
 //!
-//! With a [`ProgressSink`] installed, the telemetry observer hook taps the
-//! per-placer loop events — Nesterov iteration (`gp_iter`), SA temperature
-//! level (`sa_temp`), Xu19 round (`xu_round`), GNN epoch (`gnn_epoch`) —
-//! rate-limits them per recording thread, and pushes fixed-size
-//! [`ProgressEvent`] slots into a bounded ring. A dedicated reporter
-//! thread drains the ring every few tens of milliseconds and writes one
-//! status line per event, as human text or machine-clean JSONL, to stderr
-//! or a file.
+//! With a progress sink installed ([`install`] and its siblings), the
+//! telemetry observer hook taps the per-placer loop events — Nesterov
+//! iteration (`gp_iter`), SA temperature level (`sa_temp`), Xu19 round
+//! (`xu_round`), GNN epoch (`gnn_epoch`) — rate-limits them per recording
+//! thread, and pushes fixed-size event slots into a bounded ring. A
+//! dedicated reporter thread drains the ring every few tens of
+//! milliseconds and writes one status line per event, as human text or
+//! machine-clean JSONL, to stderr or a file.
 //!
 //! The recording side keeps the PR-3 hot-loop contracts:
 //!

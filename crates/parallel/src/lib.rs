@@ -39,20 +39,35 @@ pub fn set_max_threads(n: usize) {
 ///
 /// Resolution order: [`set_max_threads`] override, then the
 /// `PLACER_THREADS` environment variable, then
-/// `std::thread::available_parallelism()`.
+/// `std::thread::available_parallelism()`. A `PLACER_THREADS` value that
+/// [`parse_threads`] refuses (after trimming whitespace) is ignored.
 pub fn max_threads() -> usize {
     let forced = MAX_THREADS.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    if let Ok(v) = std::env::var("PLACER_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    if let Some(n) = std::env::var("PLACER_THREADS")
+        .ok()
+        .and_then(|v| parse_threads(v.trim()).ok())
+    {
+        return n;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Parses a worker-thread count: a positive integer. This is the one rule
+/// for `PLACER_THREADS` and the binaries' `--threads` flags. Zero is
+/// refused because [`set_max_threads`]`(0)` clears the override and runs
+/// on every hardware thread.
+///
+/// # Errors
+///
+/// Returns a message quoting `v`.
+pub fn parse_threads(v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("bad thread count `{v}` (want a positive integer)")),
+    }
 }
 
 /// Splits `len` items into at most `max_blocks` contiguous ranges of

@@ -29,27 +29,24 @@
 
 use analog_netlist::{AlignKind, Circuit, DeviceNets, OrderDirection, Placement};
 use placer_gnn::{CircuitGraph, InferenceScratch, Network};
-use placer_simd::{DeviceArrays, PinArrays};
 
 use crate::anneal::{SaConfig, SaCost, SaState};
 use crate::island::BlockModel;
 use crate::seqpair::PackScratch;
 
-/// Below this many devices the per-trial bounding box runs as an inline
-/// scalar fold instead of the dispatched [`placer_simd::bbox`] kernel: the
-/// folds are bit-identical either way (associative min/max on NaN-free
-/// data), but at analog circuit sizes the once-per-trial dispatch and call
-/// overhead exceeds the fold itself. Size-only, so placements never depend
-/// on it.
-const DEVICE_KERNEL_THRESHOLD: usize = 128;
-
-/// Below this many total pins the dense full-cache sweep prices each net
-/// with the fused per-net pass ([`net_hpwl_sparse`]) instead of resolving
-/// every pin coordinate with [`placer_simd::pin_coords`] first: both are
-/// bit-identical (elementwise coordinate resolve + min/max folds), but the
-/// two-pass shape only amortizes once the flat pin array is long enough to
-/// keep the vector lanes busy. Size-only, so placements never depend on it.
-const PIN_KERNEL_THRESHOLD: usize = 256;
+/// One net pin flattened for the per-net HPWL fold: the device index,
+/// the device's outline half-dims and both flip-resolved offsets
+/// ([`analog_netlist::Device::pin_offset_flipped`]'s unflipped and flipped
+/// branches, evaluated once), so re-pricing a net never chases a `Device`
+/// pointer.
+#[derive(Debug, Clone, Copy)]
+struct FlatPin {
+    dev: u32,
+    halfw: f64,
+    halfh: f64,
+    off: (f64, f64),
+    off_flip: (f64, f64),
+}
 
 /// One alignment constraint with the devices' half-heights baked in.
 #[derive(Debug, Clone, Copy)]
@@ -110,10 +107,10 @@ pub struct EvaluatorStats {
 
 /// The immutable per-circuit structure the move evaluator reads: packed
 /// block dims, device outline half-dims, the device→net incidence index,
-/// the flattened pin/constraint structure-of-arrays. Everything here is a
-/// pure function of `(circuit, model)` — independent of the SA config,
-/// seed, and chain — so one instance, wrapped in an `Arc`, serves every
-/// chain and every variant of a circuit (the batched-sweep amortization).
+/// the flattened pins and constraints. Everything here is a pure function
+/// of `(circuit, model)` — independent of the SA config, seed, and chain —
+/// so one instance, wrapped in an `Arc`, serves every chain and every
+/// variant of a circuit (the batched-sweep amortization).
 ///
 /// Shared tables change where the bytes live, not what they are:
 /// evaluators constructed over a shared instance price moves bit-identically
@@ -129,21 +126,10 @@ pub struct EvalTables {
     device_nets: DeviceNets,
     /// Routable net indices in net order (the HPWL sum order).
     routable: Vec<u32>,
-    /// CSR offsets into the pin arrays, one row per net.
+    /// CSR offsets into `pins`, one row per net.
     net_pin_start: Vec<u32>,
-    /// Net pins flattened in CSR order as structure-of-arrays for the SIMD
-    /// coordinate kernel ([`placer_simd::pin_coords`]): device index,
-    /// precomputed outline half-dims, and both flip-resolved offsets
-    /// ([`analog_netlist::Device::pin_offset_flipped`]'s unflipped and
-    /// flipped branches, evaluated once), so recomputing a dirty net never
-    /// chases a `Device` pointer.
-    pin_dev: Vec<u32>,
-    pin_halfw: Vec<f64>,
-    pin_halfh: Vec<f64>,
-    pin_offx: Vec<f64>,
-    pin_offx_flip: Vec<f64>,
-    pin_offy: Vec<f64>,
-    pin_offy_flip: Vec<f64>,
+    /// Net pins flattened in CSR order.
+    pins: Vec<FlatPin>,
     net_weight: Vec<f64>,
     /// Flattened alignment constraints.
     aligns: Vec<FlatAlign>,
@@ -171,29 +157,21 @@ impl EvalTables {
         let halfw: Vec<f64> = circuit.devices().iter().map(|d| d.width / 2.0).collect();
         let halfh: Vec<f64> = circuit.devices().iter().map(|d| d.height / 2.0).collect();
         let mut net_pin_start = Vec::with_capacity(circuit.num_nets() + 1);
-        let mut pin_dev = Vec::new();
-        let mut pin_halfw = Vec::new();
-        let mut pin_halfh = Vec::new();
-        let mut pin_offx = Vec::new();
-        let mut pin_offx_flip = Vec::new();
-        let mut pin_offy = Vec::new();
-        let mut pin_offy_flip = Vec::new();
+        let mut pins = Vec::new();
         let mut net_weight = Vec::with_capacity(circuit.num_nets());
         net_pin_start.push(0u32);
         for net in circuit.nets() {
             for p in &net.pins {
                 let d = circuit.device(p.device);
-                let (xp, yp) = d.pin_offset_flipped(p.pin.index(), false, false);
-                let (xp_flip, yp_flip) = d.pin_offset_flipped(p.pin.index(), true, true);
-                pin_dev.push(p.device.index() as u32);
-                pin_halfw.push(d.width / 2.0);
-                pin_halfh.push(d.height / 2.0);
-                pin_offx.push(xp);
-                pin_offx_flip.push(xp_flip);
-                pin_offy.push(yp);
-                pin_offy_flip.push(yp_flip);
+                pins.push(FlatPin {
+                    dev: p.device.index() as u32,
+                    halfw: d.width / 2.0,
+                    halfh: d.height / 2.0,
+                    off: d.pin_offset_flipped(p.pin.index(), false, false),
+                    off_flip: d.pin_offset_flipped(p.pin.index(), true, true),
+                });
             }
-            net_pin_start.push(pin_dev.len() as u32);
+            net_pin_start.push(pins.len() as u32);
             net_weight.push(net.weight);
         }
         let aligns: Vec<FlatAlign> = circuit
@@ -244,13 +222,7 @@ impl EvalTables {
             device_nets: DeviceNets::new(circuit),
             routable,
             net_pin_start,
-            pin_dev,
-            pin_halfw,
-            pin_halfh,
-            pin_offx,
-            pin_offx_flip,
-            pin_offy,
-            pin_offy_flip,
+            pins,
             net_weight,
             aligns,
             windows,
@@ -259,9 +231,35 @@ impl EvalTables {
         }
     }
 
-    /// Total flattened pins.
-    fn num_pins(&self) -> usize {
-        self.pin_dev.len()
+    /// One net's weighted HPWL under `placement` — the arithmetic of
+    /// [`Placement::net_hpwl`] term for term: each pin resolves to its
+    /// device center minus the half-dims plus the flip-selected offset,
+    /// and the extrema fold in pin order.
+    #[inline]
+    fn net_hpwl(&self, net: usize, placement: &Placement) -> f64 {
+        let s = self.net_pin_start[net] as usize;
+        let e = self.net_pin_start[net + 1] as usize;
+        let (mut xmin, mut xmax) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut ymin, mut ymax) = (f64::INFINITY, f64::NEG_INFINITY);
+        for p in &self.pins[s..e] {
+            let d = p.dev as usize;
+            let (cx, cy) = placement.positions[d];
+            let (fx, fy) = placement.flips[d];
+            let x = cx - p.halfw + if fx { p.off_flip.0 } else { p.off.0 };
+            let y = cy - p.halfh + if fy { p.off_flip.1 } else { p.off.1 };
+            xmin = xmin.min(x);
+            xmax = xmax.max(x);
+            ymin = ymin.min(y);
+            ymax = ymax.max(y);
+        }
+        self.net_weight[net] * ((xmax - xmin) + (ymax - ymin))
+    }
+
+    /// Re-prices every routable net under `placement`, in net order.
+    fn price_all_nets(&self, placement: &Placement, net_vals: &mut [f64]) {
+        for &ni in &self.routable {
+            net_vals[ni as usize] = self.net_hpwl(ni as usize, placement);
+        }
     }
 }
 
@@ -293,13 +291,6 @@ pub struct MoveEvaluator<'a> {
     c_s2: Vec<usize>,
     origins: Vec<(f64, f64)>,
     placement: Placement,
-    /// Committed device centers and flips mirrored as structure-of-arrays
-    /// (flips as `0.0`/`1.0` masks) — what the SIMD sweep kernels read.
-    /// `placement` stays authoritative for the perf engine and callers.
-    pos_x: Vec<f64>,
-    pos_y: Vec<f64>,
-    flip_x: Vec<f64>,
-    flip_y: Vec<f64>,
     net_vals: Vec<f64>,
     align_vals: Vec<f64>,
     window_vals: Vec<f64>,
@@ -310,10 +301,6 @@ pub struct MoveEvaluator<'a> {
     t_s2: Vec<usize>,
     t_origins: Vec<(f64, f64)>,
     t_placement: Placement,
-    t_pos_x: Vec<f64>,
-    t_pos_y: Vec<f64>,
-    t_flip_x: Vec<f64>,
-    t_flip_y: Vec<f64>,
     t_net_vals: Vec<f64>,
     t_align_vals: Vec<f64>,
     t_window_vals: Vec<f64>,
@@ -321,10 +308,6 @@ pub struct MoveEvaluator<'a> {
 
     // Scratch.
     pack: PackScratch,
-    /// Per-pin resolved coordinates, filled by the coordinate kernel just
-    /// before each net's min/max fold.
-    pin_x: Vec<f64>,
-    pin_y: Vec<f64>,
     dirty: Vec<u32>,
     net_mark: Vec<u64>,
     align_mark: Vec<u64>,
@@ -366,7 +349,6 @@ impl<'a> MoveEvaluator<'a> {
     ) -> Self {
         let n = circuit.num_devices();
         let m = model.len();
-        let num_pins = tables.num_pins();
         let perf = perf.map(|(network, scale)| PerfEngine {
             network,
             graph: CircuitGraph::new(circuit, &Placement::new(n), scale),
@@ -383,10 +365,6 @@ impl<'a> MoveEvaluator<'a> {
             c_s2: vec![0; m],
             origins: Vec::with_capacity(m),
             placement: Placement::new(n),
-            pos_x: vec![0.0; n],
-            pos_y: vec![0.0; n],
-            flip_x: vec![0.0; n],
-            flip_y: vec![0.0; n],
             net_vals: vec![0.0; circuit.num_nets()],
             align_vals: vec![0.0; num_aligns],
             window_vals: vec![0.0; num_windows],
@@ -401,10 +379,6 @@ impl<'a> MoveEvaluator<'a> {
             t_s2: vec![0; m],
             t_origins: Vec::with_capacity(m),
             t_placement: Placement::new(n),
-            t_pos_x: vec![0.0; n],
-            t_pos_y: vec![0.0; n],
-            t_flip_x: vec![0.0; n],
-            t_flip_y: vec![0.0; n],
             t_net_vals: vec![0.0; circuit.num_nets()],
             t_align_vals: vec![0.0; num_aligns],
             t_window_vals: vec![0.0; num_windows],
@@ -416,8 +390,6 @@ impl<'a> MoveEvaluator<'a> {
                 total: 0.0,
             },
             pack: PackScratch::new(),
-            pin_x: vec![0.0; num_pins],
-            pin_y: vec![0.0; num_pins],
             dirty: Vec::with_capacity(2 * n),
             net_mark: vec![0; circuit.num_nets()],
             align_mark: vec![0; num_aligns],
@@ -444,38 +416,12 @@ impl<'a> MoveEvaluator<'a> {
         for (block, &(bx, by)) in self.model.blocks.iter().zip(&self.origins) {
             for &(dev, ox, oy) in &block.devices {
                 let i = dev.index();
-                let (px, py) = (bx + ox, by + oy);
-                self.placement.positions[i] = (px, py);
+                self.placement.positions[i] = (bx + ox, by + oy);
                 self.placement.flips[i] = state.flips[i];
-                self.pos_x[i] = px;
-                self.pos_y[i] = py;
-                self.flip_x[i] = if state.flips[i].0 { 1.0 } else { 0.0 };
-                self.flip_y[i] = if state.flips[i].1 { 1.0 } else { 0.0 };
             }
         }
-        sweep_all_nets(
-            PinArrays {
-                dev: &self.tables.pin_dev,
-                halfw: &self.tables.pin_halfw,
-                halfh: &self.tables.pin_halfh,
-                offx: &self.tables.pin_offx,
-                offx_flip: &self.tables.pin_offx_flip,
-                offy: &self.tables.pin_offy,
-                offy_flip: &self.tables.pin_offy_flip,
-            },
-            DeviceArrays {
-                pos_x: &self.pos_x,
-                pos_y: &self.pos_y,
-                flip_x: &self.flip_x,
-                flip_y: &self.flip_y,
-            },
-            &mut self.pin_x,
-            &mut self.pin_y,
-            &self.tables.routable,
-            &self.tables.net_pin_start,
-            &self.tables.net_weight,
-            &mut self.net_vals,
-        );
+        self.tables
+            .price_all_nets(&self.placement, &mut self.net_vals);
         for (i, v) in self.align_vals.iter_mut().enumerate() {
             *v = flat_align_value(&self.tables.aligns[i], &self.placement.positions);
         }
@@ -483,12 +429,8 @@ impl<'a> MoveEvaluator<'a> {
             *v = flat_window_value(&self.tables.windows[i], &self.placement.positions);
         }
         self.cost = Self::assemble(
-            &self.tables.halfw,
-            &self.tables.halfh,
-            &self.pos_x,
-            &self.pos_y,
+            &self.tables,
             &self.placement,
-            &self.tables.routable,
             &self.net_vals,
             &self.align_vals,
             &self.window_vals,
@@ -548,10 +490,6 @@ impl<'a> MoveEvaluator<'a> {
         self.t_placement
             .flips
             .copy_from_slice(&self.placement.flips);
-        self.t_pos_x.copy_from_slice(&self.pos_x);
-        self.t_pos_y.copy_from_slice(&self.pos_y);
-        self.t_flip_x.copy_from_slice(&self.flip_x);
-        self.t_flip_y.copy_from_slice(&self.flip_y);
         self.epoch += 1;
         self.dirty.clear();
         if !same_seqs {
@@ -566,10 +504,7 @@ impl<'a> MoveEvaluator<'a> {
                 }
                 for &(dev, ox, oy) in &block.devices {
                     let i = dev.index();
-                    let (px, py) = (bx + ox, by + oy);
-                    self.t_placement.positions[i] = (px, py);
-                    self.t_pos_x[i] = px;
-                    self.t_pos_y[i] = py;
+                    self.t_placement.positions[i] = (bx + ox, by + oy);
                     self.dirty.push(i as u32);
                 }
             }
@@ -578,8 +513,6 @@ impl<'a> MoveEvaluator<'a> {
         for (d, (&tf, &cf)) in trial.flips.iter().zip(&self.placement.flips).enumerate() {
             if tf != cf {
                 self.t_placement.flips[d] = tf;
-                self.t_flip_x[d] = if tf.0 { 1.0 } else { 0.0 };
-                self.t_flip_y[d] = if tf.1 { 1.0 } else { 0.0 };
                 self.dirty.push(d as u32);
             }
         }
@@ -601,31 +534,9 @@ impl<'a> MoveEvaluator<'a> {
             // packing): a straight sweep over every cache row beats
             // per-device invalidation marking. Non-routable rows stay at
             // their initial zeros in both buffer sets, so skipping the
-            // committed-value copies is sound. One SIMD pass resolves every
-            // pin coordinate, then each net folds its contiguous range.
-            sweep_all_nets(
-                PinArrays {
-                    dev: &self.tables.pin_dev,
-                    halfw: &self.tables.pin_halfw,
-                    halfh: &self.tables.pin_halfh,
-                    offx: &self.tables.pin_offx,
-                    offx_flip: &self.tables.pin_offx_flip,
-                    offy: &self.tables.pin_offy,
-                    offy_flip: &self.tables.pin_offy_flip,
-                },
-                DeviceArrays {
-                    pos_x: &self.t_pos_x,
-                    pos_y: &self.t_pos_y,
-                    flip_x: &self.t_flip_x,
-                    flip_y: &self.t_flip_y,
-                },
-                &mut self.pin_x,
-                &mut self.pin_y,
-                &self.tables.routable,
-                &self.tables.net_pin_start,
-                &self.tables.net_weight,
-                &mut self.t_net_vals,
-            );
+            // committed-value copies is sound.
+            self.tables
+                .price_all_nets(&self.t_placement, &mut self.t_net_vals);
             for (i, a) in self.tables.aligns.iter().enumerate() {
                 self.t_align_vals[i] = flat_align_value(a, &self.t_placement.positions);
             }
@@ -647,24 +558,8 @@ impl<'a> MoveEvaluator<'a> {
                 {
                     if self.net_mark[ni as usize] != self.epoch {
                         self.net_mark[ni as usize] = self.epoch;
-                        let s = self.tables.net_pin_start[ni as usize] as usize;
-                        let e = self.tables.net_pin_start[ni as usize + 1] as usize;
-                        self.t_net_vals[ni as usize] = net_hpwl_sparse(
-                            &self.tables.pin_dev[s..e],
-                            &self.tables.pin_halfw[s..e],
-                            &self.tables.pin_halfh[s..e],
-                            &self.tables.pin_offx[s..e],
-                            &self.tables.pin_offx_flip[s..e],
-                            &self.tables.pin_offy[s..e],
-                            &self.tables.pin_offy_flip[s..e],
-                            &DeviceArrays {
-                                pos_x: &self.t_pos_x,
-                                pos_y: &self.t_pos_y,
-                                flip_x: &self.t_flip_x,
-                                flip_y: &self.t_flip_y,
-                            },
-                            self.tables.net_weight[ni as usize],
-                        );
+                        self.t_net_vals[ni as usize] =
+                            self.tables.net_hpwl(ni as usize, &self.t_placement);
                     }
                 }
                 for &ai in &self.tables.dev_aligns[d] {
@@ -688,12 +583,8 @@ impl<'a> MoveEvaluator<'a> {
             }
         }
         self.t_cost = Self::assemble(
-            &self.tables.halfw,
-            &self.tables.halfh,
-            &self.t_pos_x,
-            &self.t_pos_y,
+            &self.tables,
             &self.t_placement,
-            &self.tables.routable,
             &self.t_net_vals,
             &self.t_align_vals,
             &self.t_window_vals,
@@ -711,10 +602,6 @@ impl<'a> MoveEvaluator<'a> {
         std::mem::swap(&mut self.c_s2, &mut self.t_s2);
         std::mem::swap(&mut self.origins, &mut self.t_origins);
         std::mem::swap(&mut self.placement, &mut self.t_placement);
-        std::mem::swap(&mut self.pos_x, &mut self.t_pos_x);
-        std::mem::swap(&mut self.pos_y, &mut self.t_pos_y);
-        std::mem::swap(&mut self.flip_x, &mut self.t_flip_x);
-        std::mem::swap(&mut self.flip_y, &mut self.t_flip_y);
         std::mem::swap(&mut self.net_vals, &mut self.t_net_vals);
         std::mem::swap(&mut self.align_vals, &mut self.t_align_vals);
         std::mem::swap(&mut self.window_vals, &mut self.t_window_vals);
@@ -728,12 +615,8 @@ impl<'a> MoveEvaluator<'a> {
     /// constraint order.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
-        halfw: &[f64],
-        halfh: &[f64],
-        pos_x: &[f64],
-        pos_y: &[f64],
+        tables: &EvalTables,
         placement: &Placement,
-        routable: &[u32],
         net_vals: &[f64],
         align_vals: &[f64],
         window_vals: &[f64],
@@ -742,34 +625,26 @@ impl<'a> MoveEvaluator<'a> {
         perf: Option<&mut PerfEngine<'_>>,
     ) -> SaCost {
         // Bounding box over device outlines in id order — the same folds
-        // as [`Placement::bounding_box`], reading precomputed half-dims
-        // (min/max folds are associative on NaN-free data, so the SIMD
-        // lanes are bit-exact and the inline small-circuit fold is the
-        // identical value). Below the threshold the per-trial kernel
-        // dispatch costs more than the fold; analog SA circuits mostly sit
-        // there.
-        let area = if pos_x.is_empty() {
+        // as [`Placement::bounding_box`], reading precomputed half-dims.
+        let area = if placement.positions.is_empty() {
             0.0
-        } else if pos_x.len() < DEVICE_KERNEL_THRESHOLD {
+        } else {
             let mut bb = (
                 f64::INFINITY,
                 f64::INFINITY,
                 f64::NEG_INFINITY,
                 f64::NEG_INFINITY,
             );
-            for i in 0..pos_x.len() {
-                bb.0 = bb.0.min(pos_x[i] - halfw[i]);
-                bb.1 = bb.1.min(pos_y[i] - halfh[i]);
-                bb.2 = bb.2.max(pos_x[i] + halfw[i]);
-                bb.3 = bb.3.max(pos_y[i] + halfh[i]);
+            for (i, &(x, y)) in placement.positions.iter().enumerate() {
+                bb.0 = bb.0.min(x - tables.halfw[i]);
+                bb.1 = bb.1.min(y - tables.halfh[i]);
+                bb.2 = bb.2.max(x + tables.halfw[i]);
+                bb.3 = bb.3.max(y + tables.halfh[i]);
             }
-            (bb.2 - bb.0) * (bb.3 - bb.1)
-        } else {
-            let bb = placer_simd::bbox(pos_x, pos_y, halfw, halfh);
             (bb.2 - bb.0) * (bb.3 - bb.1)
         };
         let mut hpwl = 0.0;
-        for &ni in routable {
+        for &ni in &tables.routable {
             hpwl += net_vals[ni as usize];
         }
         let mut align_worst: f64 = 0.0;
@@ -798,113 +673,6 @@ impl<'a> MoveEvaluator<'a> {
             phi,
             total,
         }
-    }
-}
-
-/// One net's weighted HPWL over resolved pin coordinates — the arithmetic
-/// of [`Placement::net_hpwl`] term for term. The fold is an inline scalar
-/// twin of [`placer_simd::min_max`] (same per-accumulator `min`/`max`
-/// sequences in index order, so bit-identical under every backend):
-/// analog nets carry 2–10 pins, where per-net kernel dispatch costs more
-/// than the fold itself.
-#[inline]
-fn net_hpwl_from_coords(xs: &[f64], ys: &[f64], weight: f64) -> f64 {
-    let (mut xmin, mut xmax) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut ymin, mut ymax) = (f64::INFINITY, f64::NEG_INFINITY);
-    for i in 0..xs.len() {
-        xmin = xmin.min(xs[i]);
-        xmax = xmax.max(xs[i]);
-        ymin = ymin.min(ys[i]);
-        ymax = ymax.max(ys[i]);
-    }
-    weight * ((xmax - xmin) + (ymax - ymin))
-}
-
-/// Re-prices one net in a single fused pass over the pin SoA: resolves
-/// each pin coordinate with the exact arithmetic of
-/// [`placer_simd::pin_coords`] and folds the extrema with the exact
-/// per-accumulator sequences of [`placer_simd::min_max`], so the value is
-/// bit-identical to the dense sweep's kernels under every backend —
-/// without per-net kernel dispatch or the coordinate-scratch round trip,
-/// which dominate at analog net sizes (2–10 pins).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn net_hpwl_sparse(
-    dev: &[u32],
-    halfw: &[f64],
-    halfh: &[f64],
-    offx: &[f64],
-    offx_flip: &[f64],
-    offy: &[f64],
-    offy_flip: &[f64],
-    devs: &DeviceArrays<'_>,
-    weight: f64,
-) -> f64 {
-    let (mut xmin, mut xmax) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut ymin, mut ymax) = (f64::INFINITY, f64::NEG_INFINITY);
-    for i in 0..dev.len() {
-        let d = dev[i] as usize;
-        let off_x = if devs.flip_x[d] > 0.5 {
-            offx_flip[i]
-        } else {
-            offx[i]
-        };
-        let off_y = if devs.flip_y[d] > 0.5 {
-            offy_flip[i]
-        } else {
-            offy[i]
-        };
-        let x = devs.pos_x[d] - halfw[i] + off_x;
-        let y = devs.pos_y[d] - halfh[i] + off_y;
-        xmin = xmin.min(x);
-        xmax = xmax.max(x);
-        ymin = ymin.min(y);
-        ymax = ymax.max(y);
-    }
-    weight * ((xmax - xmin) + (ymax - ymin))
-}
-
-/// Reprices every routable net against one device-coordinate set. Above
-/// [`PIN_KERNEL_THRESHOLD`] total pins, a single SIMD pass resolves all
-/// pin coordinates into `pin_x`/`pin_y` and each net folds its contiguous
-/// CSR range; below it, each net runs the fused per-net pass instead
-/// (bit-identical — see the threshold's contract).
-#[allow(clippy::too_many_arguments)]
-fn sweep_all_nets(
-    pins: PinArrays<'_>,
-    devs: DeviceArrays<'_>,
-    pin_x: &mut [f64],
-    pin_y: &mut [f64],
-    routable: &[u32],
-    net_pin_start: &[u32],
-    net_weight: &[f64],
-    net_vals: &mut [f64],
-) {
-    if pin_x.len() < PIN_KERNEL_THRESHOLD {
-        for &ni in routable {
-            let ni = ni as usize;
-            let s = net_pin_start[ni] as usize;
-            let e = net_pin_start[ni + 1] as usize;
-            net_vals[ni] = net_hpwl_sparse(
-                &pins.dev[s..e],
-                &pins.halfw[s..e],
-                &pins.halfh[s..e],
-                &pins.offx[s..e],
-                &pins.offx_flip[s..e],
-                &pins.offy[s..e],
-                &pins.offy_flip[s..e],
-                &devs,
-                net_weight[ni],
-            );
-        }
-        return;
-    }
-    placer_simd::pin_coords(&pins, &devs, pin_x, pin_y);
-    for &ni in routable {
-        let ni = ni as usize;
-        let s = net_pin_start[ni] as usize;
-        let e = net_pin_start[ni + 1] as usize;
-        net_vals[ni] = net_hpwl_from_coords(&pin_x[s..e], &pin_y[s..e], net_weight[ni]);
     }
 }
 

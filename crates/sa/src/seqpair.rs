@@ -149,8 +149,9 @@ impl SequencePair {
     }
 
     /// Allocation-free packing into a caller-owned buffer: the Fenwick
-    /// O(n log n) sweep, or a direct scan below [`DIRECT_SCAN_MAX`] items
-    /// (bit-identical, just faster at analog block counts).
+    /// O(n log n) sweep, or a direct scan below a fixed item count
+    /// (`DIRECT_SCAN_MAX`, 32; bit-identical, just faster at analog block
+    /// counts).
     ///
     /// `out` is cleared and refilled with each item's lower-left corner;
     /// with a warm `scratch` and an `out` of sufficient capacity the call

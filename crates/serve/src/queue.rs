@@ -306,7 +306,8 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Blocks until every admitted entry has completed (pending and
-    /// running both empty). Used by graceful shutdown after [`drain`].
+    /// running both empty). Used by graceful shutdown after
+    /// [`drain`](Self::drain).
     pub fn wait_idle(&self) {
         let mut st = self.state.lock().unwrap();
         while !(st.pending.is_empty() && st.running.is_empty()) {

@@ -18,7 +18,7 @@
 //!   running jobs through a [`JobEngine`] clone that shares the
 //!   process-wide [`ArtifactCache`] (keyed by netlist content hash, so
 //!   repeat circuits skip compilation) and carries the lease's
-//!   [`CancelFlag`] for preemption;
+//!   [`CancelFlag`](eplace::CancelFlag) for preemption;
 //! * optionally one **forwarder thread per streaming connection**,
 //!   pumping `placer-obs` progress frames for that connection's jobs.
 //!

@@ -1,11 +1,17 @@
-//! Runtime-dispatched SIMD kernels for the placement hot paths.
+//! Runtime-dispatched SIMD kernels for ePlace's global placement and the
+//! GNN.
 //!
-//! `BENCH_hotpaths.json` showed the flat hot paths — the WA/LSE wirelength
-//! gradient, the density scatter/gather, CSR SpMM row accumulation, and the
-//! SA cost sweep — stuck near 1.0×: thread-level parallelism stopped paying
-//! there, so the remaining headroom is data-level. This crate provides a
-//! small set of explicit-width f64 kernels behind **one-time runtime CPU
-//! dispatch**:
+//! Four f64 kernels, each called from a hot loop that runs on the paper's
+//! circuits, sit behind **one-time runtime CPU dispatch**:
+//!
+//! - [`exp_slice`]: the WA/LSE smoothing exponentials, batched over the
+//!   whole circuit (ePlace's wirelength gradient);
+//! - [`scatter_row`] and [`gather_row`]: the density grid's per-row charge
+//!   scatter and field gather (ePlace's density term);
+//! - [`axpy`]: the GNN's dense and CSR matrix-product row accumulations
+//!   (inference and training) and ePlace's Nesterov gradient mix.
+//!
+//! The backends are:
 //!
 //! - **AVX-512F** (8 lanes) when the host supports it,
 //! - **AVX2 + FMA** (4 lanes) otherwise,
@@ -25,38 +31,37 @@
 //! the call sites operation for operation):
 //!
 //! - **bit-exact**: the SIMD variant performs the same floating-point
-//!   operations per element in an order whose result provably cannot
-//!   differ — purely elementwise maps ([`axpy`], [`wa_grad_finish`],
-//!   [`lse_grad_finish`], [`scatter_row`], [`pin_coords`]) and min/max
-//!   reductions ([`min_max`], [`bbox`]), which are associative and
-//!   commutative for non-NaN inputs, so any lane decomposition folds to
-//!   the identical value.
+//!   operations per element, so its result cannot differ. [`axpy`] and
+//!   [`scatter_row`] are purely elementwise maps.
 //! - **bounded-ULP**: the SIMD variant re-associates a floating-point
-//!   *sum* across lanes ([`wa_exp_sums`], [`gather_row`]) and/or evaluates
-//!   `exp` with the vector polynomial in [`exp`] (≤ 2 ULP of
-//!   `f64::exp`; [`exp_slice`] is its batch form over a flat argument
-//!   array). Results differ from scalar in the last bits; the property
-//!   tests in this crate document and pin the tolerance.
+//!   *sum* across lanes ([`gather_row`]) or evaluates `exp` with a vector
+//!   polynomial (≤ 2 ULP of `f64::exp`; [`exp_slice`]). Results differ
+//!   from scalar in the last bits; the property tests in this crate
+//!   document and pin the tolerance.
 //!
 //! Within one process the selected backend never changes, so every kernel
 //! is deterministic: bit-identity contracts that quantify over *runs*
-//! (checkpoint/resume identity, `anneal ≡ anneal_reference`, traced ≡
-//! untraced) hold under every backend. Contracts that quantify over
-//! *machines* are pinned against the forced-scalar backend, which is
-//! bit-identical to the pre-SIMD seed paths.
+//! (checkpoint/resume identity, traced ≡ untraced) hold under every
+//! backend. Contracts that quantify over *machines* are pinned against the
+//! forced-scalar backend, which is bit-identical to the pre-SIMD seed
+//! paths.
 //!
-//! Inputs must be NaN-free: IEEE min/max lose associativity on NaN (and
-//! differ between `f64::min` and `vminpd` there), so the bit-exact
-//! guarantee of the reductions excludes NaN. Placement coordinates,
-//! densities and weights are finite by construction in every caller.
+//! Inputs must be NaN-free: `f64::min`/`max` and the vector min/max
+//! instructions differ on NaN, so [`scatter_row`]'s bit-exact guarantee
+//! excludes it. Placement coordinates, densities and weights are finite by
+//! construction in every caller.
 //!
 //! # Adding a kernel
+//!
+//! Add one only for a loop that a placement of a paper circuit runs, and
+//! judge it end to end: a kernel that wins its own lane but no placement
+//! is code to delete.
 //!
 //! 1. Write the scalar reference replicating the call site's exact
 //!    arithmetic (op order included) and name it `*_reference`.
 //! 2. Write `unsafe fn *_avx2` / `*_avx512` under
 //!    `#[target_feature(enable = …)]`, choosing lane decompositions that
-//!    keep the contract you can afford (elementwise / min-max → bit-exact;
+//!    keep the contract you can afford (elementwise → bit-exact;
 //!    re-associated sums → bounded-ULP, documented).
 //! 3. Dispatch in the public wrapper via [`selected`], falling through to
 //!    the reference.
@@ -71,14 +76,8 @@ mod sweep;
 mod wa;
 
 pub use grid::{gather_row, gather_row_reference, scatter_row, scatter_row_reference};
-pub use sweep::{
-    axpy, axpy_reference, bbox, bbox_reference, min_max, min_max_reference, pin_coords,
-    pin_coords_reference, DeviceArrays, PinArrays,
-};
-pub use wa::{
-    exp_slice, exp_slice_reference, lse_grad_finish, lse_grad_finish_reference, wa_exp_sums,
-    wa_exp_sums_reference, wa_grad_finish, wa_grad_finish_reference,
-};
+pub use sweep::{axpy, axpy_reference};
+pub use wa::{exp_slice, exp_slice_reference};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

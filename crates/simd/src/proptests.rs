@@ -1,7 +1,6 @@
 //! Property tests pinning every SIMD kernel against its scalar reference
-//! at the documented contract: `to_bits` equality for the elementwise maps
-//! and min/max folds, bounded relative error for the re-associated sums
-//! and the vector `exp`.
+//! at the documented contract: `to_bits` equality for the elementwise maps,
+//! bounded relative error for the re-associated sums and the vector `exp`.
 //!
 //! Per-ISA kernels are exercised directly (guarded by [`crate::detected`])
 //! so every backend the host supports is tested regardless of which one
@@ -31,44 +30,6 @@ proptest! {
         crate::axpy_reference(&mut want, a, &xs);
         crate::axpy(&mut got, a, &xs);
         prop_assert!(bits_eq(&got, &want));
-    }
-
-    /// The full WA pipeline through the public wrappers stays within the
-    /// documented tolerance of the all-reference pipeline under whatever
-    /// backend is selected (per-ISA accuracy is pinned in `isa` below).
-    #[test]
-    fn dispatch_wa_pipeline_close_to_reference(
-        coords in prop::collection::vec(-30.0..30.0f64, 2..64),
-        gamma in 0.05..5.0f64,
-    ) {
-        let n = coords.len();
-        let (xmin_d, xmax_d) = crate::min_max(&coords);
-        let (xmin, xmax) = crate::min_max_reference(&coords);
-        prop_assert_eq!(xmin_d.to_bits(), xmin.to_bits());
-        prop_assert_eq!(xmax_d.to_bits(), xmax.to_bits());
-
-        let (mut ep, mut em) = (vec![0.0; n], vec![0.0; n]);
-        let (s1, s1x, s2, s2x) = crate::wa_exp_sums(&coords, gamma, xmax, xmin, &mut ep, &mut em);
-        let (mut rep, mut rem) = (vec![0.0; n], vec![0.0; n]);
-        let (r1, r1x, r2, r2x) =
-            crate::wa_exp_sums_reference(&coords, gamma, xmax, xmin, &mut rep, &mut rem);
-
-        let value = s1x / s1 - s2x / s2;
-        let r_value = r1x / r1 - r2x / r2;
-        prop_assert!(
-            (value - r_value).abs() <= 1e-9 * (1.0 + r_value.abs()),
-            "value {value} vs {r_value}"
-        );
-
-        let mut grads = vec![0.0; n];
-        crate::wa_grad_finish(&coords, &ep, &em, gamma, s1x / s1, s2x / s2, s1, s2, &mut grads);
-        let mut r_grads = vec![0.0; n];
-        crate::wa_grad_finish_reference(
-            &coords, &rep, &rem, gamma, r1x / r1, r2x / r2, r1, r2, &mut r_grads,
-        );
-        for (g, w) in grads.iter().zip(&r_grads) {
-            prop_assert!((g - w).abs() <= 1e-8, "grad {g} vs {w}");
-        }
     }
 }
 
@@ -210,93 +171,6 @@ mod isa {
         }
 
         #[test]
-        fn min_max_and_bbox_isa_bit_exact(
-            devs in prop::collection::vec(
-                (-100.0..100.0f64, -100.0..100.0f64, 0.1..5.0f64, 0.1..5.0f64),
-                0..70,
-            ),
-        ) {
-            let pos_x: Vec<f64> = devs.iter().map(|d| d.0).collect();
-            let pos_y: Vec<f64> = devs.iter().map(|d| d.1).collect();
-            let hw: Vec<f64> = devs.iter().map(|d| d.2).collect();
-            let hh: Vec<f64> = devs.iter().map(|d| d.3).collect();
-            let want_mm = sweep::min_max_reference(&pos_x);
-            let want_bb = sweep::bbox_reference(&pos_x, &pos_y, &hw, &hh);
-            if have_avx2() {
-                let mm = unsafe { sweep::min_max_avx2(&pos_x) };
-                prop_assert_eq!(mm.0.to_bits(), want_mm.0.to_bits());
-                prop_assert_eq!(mm.1.to_bits(), want_mm.1.to_bits());
-                let bb = unsafe { sweep::bbox_avx2(&pos_x, &pos_y, &hw, &hh) };
-                prop_assert!(bits_eq(
-                    &[bb.0, bb.1, bb.2, bb.3],
-                    &[want_bb.0, want_bb.1, want_bb.2, want_bb.3]
-                ));
-            }
-            if have_avx512() {
-                let mm = unsafe { sweep::min_max_avx512(&pos_x) };
-                prop_assert_eq!(mm.0.to_bits(), want_mm.0.to_bits());
-                prop_assert_eq!(mm.1.to_bits(), want_mm.1.to_bits());
-                let bb = unsafe { sweep::bbox_avx512(&pos_x, &pos_y, &hw, &hh) };
-                prop_assert!(bits_eq(
-                    &[bb.0, bb.1, bb.2, bb.3],
-                    &[want_bb.0, want_bb.1, want_bb.2, want_bb.3]
-                ));
-            }
-        }
-
-        #[test]
-        fn pin_coords_isa_bit_exact(
-            devs in prop::collection::vec(
-                (-50.0..50.0f64, -50.0..50.0f64, prop::bool::ANY, prop::bool::ANY),
-                1..16,
-            ),
-            pins in prop::collection::vec(
-                (
-                    0..10_000u32,
-                    (0.1..4.0f64, 0.1..4.0f64),
-                    (-2.0..2.0f64, -2.0..2.0f64, -2.0..2.0f64, -2.0..2.0f64),
-                ),
-                0..50,
-            ),
-        ) {
-            let nd = devs.len() as u32;
-            let pos_x: Vec<f64> = devs.iter().map(|d| d.0).collect();
-            let pos_y: Vec<f64> = devs.iter().map(|d| d.1).collect();
-            let flip_x: Vec<f64> = devs.iter().map(|d| if d.2 { 1.0 } else { 0.0 }).collect();
-            let flip_y: Vec<f64> = devs.iter().map(|d| if d.3 { 1.0 } else { 0.0 }).collect();
-            let dev: Vec<u32> = pins.iter().map(|&(d, _, _)| d % nd).collect();
-            let halfw: Vec<f64> = pins.iter().map(|&(_, (hw, _), _)| hw).collect();
-            let halfh: Vec<f64> = pins.iter().map(|&(_, (_, hh), _)| hh).collect();
-            let offx: Vec<f64> = pins.iter().map(|&(_, _, (o, _, _, _))| o).collect();
-            let offx_flip: Vec<f64> = pins.iter().map(|&(_, _, (_, o, _, _))| o).collect();
-            let offy: Vec<f64> = pins.iter().map(|&(_, _, (_, _, o, _))| o).collect();
-            let offy_flip: Vec<f64> = pins.iter().map(|&(_, _, (_, _, _, o))| o).collect();
-            let pa = sweep::PinArrays {
-                dev: &dev,
-                halfw: &halfw,
-                halfh: &halfh,
-                offx: &offx,
-                offx_flip: &offx_flip,
-                offy: &offy,
-                offy_flip: &offy_flip,
-            };
-            let da = sweep::DeviceArrays {
-                pos_x: &pos_x,
-                pos_y: &pos_y,
-                flip_x: &flip_x,
-                flip_y: &flip_y,
-            };
-            let n = dev.len();
-            let (mut wx, mut wy) = (vec![0.0; n], vec![0.0; n]);
-            sweep::pin_coords_reference(&pa, &da, &mut wx, &mut wy);
-            if have_avx2() {
-                let (mut gx, mut gy) = (vec![0.0; n], vec![0.0; n]);
-                unsafe { sweep::pin_coords_avx2(&pa, &da, &mut gx, &mut gy, 0) };
-                prop_assert!(bits_eq(&gx, &wx) && bits_eq(&gy, &wy));
-            }
-        }
-
-        #[test]
         fn scatter_row_isa_bit_exact(
             row in prop::collection::vec(-10.0..10.0f64, 0..40),
             first_bx in 0..64usize,
@@ -363,91 +237,6 @@ mod isa {
                 };
                 prop_assert!((fx - wfx).abs() <= 1e-12 * scale, "{fx} vs {wfx}");
                 prop_assert!((fy - wfy).abs() <= 1e-12 * scale, "{fy} vs {wfy}");
-            }
-        }
-
-        #[test]
-        fn wa_exp_sums_isa_bounded_ulp(
-            coords in prop::collection::vec(-30.0..30.0f64, 2..64),
-            gamma in 0.05..5.0f64,
-        ) {
-            let n = coords.len();
-            let (xmin, xmax) = sweep::min_max_reference(&coords);
-            let (mut wep, mut wem) = (vec![0.0; n], vec![0.0; n]);
-            let want = wa::wa_exp_sums_reference(&coords, gamma, xmax, xmin, &mut wep, &mut wem);
-            let sx_scale: f64 =
-                coords.iter().zip(&wep).map(|(x, e)| (x * e).abs()).sum::<f64>() + 1.0;
-            let sm_scale: f64 =
-                coords.iter().zip(&wem).map(|(x, e)| (x * e).abs()).sum::<f64>() + 1.0;
-            let check = |got: (f64, f64, f64, f64), ep: &[f64], em: &[f64]| {
-                for i in 0..n {
-                    assert!(
-                        (ep[i] - wep[i]).abs() <= 1e-13 * wep[i].abs() + 1e-300,
-                        "ep[{i}] {} vs {}", ep[i], wep[i]
-                    );
-                    assert!(
-                        (em[i] - wem[i]).abs() <= 1e-13 * wem[i].abs() + 1e-300,
-                        "em[{i}] {} vs {}", em[i], wem[i]
-                    );
-                }
-                assert!((got.0 - want.0).abs() <= 1e-12 * want.0, "s1 {} vs {}", got.0, want.0);
-                assert!((got.1 - want.1).abs() <= 1e-12 * sx_scale, "s1x {} vs {}", got.1, want.1);
-                assert!((got.2 - want.2).abs() <= 1e-12 * want.2, "s2 {} vs {}", got.2, want.2);
-                assert!((got.3 - want.3).abs() <= 1e-12 * sm_scale, "s2x {} vs {}", got.3, want.3);
-            };
-            if have_avx2() {
-                let (mut ep, mut em) = (vec![0.0; n], vec![0.0; n]);
-                let got = unsafe { wa::wa_exp_sums_avx2(&coords, gamma, xmax, xmin, &mut ep, &mut em) };
-                check(got, &ep, &em);
-            }
-            if have_avx512() {
-                let (mut ep, mut em) = (vec![0.0; n], vec![0.0; n]);
-                let got =
-                    unsafe { wa::wa_exp_sums_avx512(&coords, gamma, xmax, xmin, &mut ep, &mut em) };
-                check(got, &ep, &em);
-            }
-        }
-
-        #[test]
-        fn grad_finish_isa_bit_exact(
-            coords in prop::collection::vec(-30.0..30.0f64, 2..64),
-            gamma in 0.05..5.0f64,
-        ) {
-            let n = coords.len();
-            let (xmin, xmax) = sweep::min_max_reference(&coords);
-            let (mut ep, mut em) = (vec![0.0; n], vec![0.0; n]);
-            let (s1, s1x, s2, s2x) =
-                wa::wa_exp_sums_reference(&coords, gamma, xmax, xmin, &mut ep, &mut em);
-            let (wa_max, wa_min) = (s1x / s1, s2x / s2);
-            let mut want = vec![0.0; n];
-            wa::wa_grad_finish_reference(
-                &coords, &ep, &em, gamma, wa_max, wa_min, s1, s2, &mut want,
-            );
-            let mut want_lse = vec![0.0; n];
-            wa::lse_grad_finish_reference(&ep, &em, s1, s2, &mut want_lse);
-            if have_avx2() {
-                let mut got = vec![0.0; n];
-                unsafe {
-                    wa::wa_grad_finish_avx2(
-                        &coords, &ep, &em, gamma, wa_max, wa_min, s1, s2, &mut got,
-                    )
-                };
-                prop_assert!(bits_eq(&got, &want));
-                let mut got_lse = vec![0.0; n];
-                unsafe { wa::lse_grad_finish_avx2(&ep, &em, s1, s2, &mut got_lse) };
-                prop_assert!(bits_eq(&got_lse, &want_lse));
-            }
-            if have_avx512() {
-                let mut got = vec![0.0; n];
-                unsafe {
-                    wa::wa_grad_finish_avx512(
-                        &coords, &ep, &em, gamma, wa_max, wa_min, s1, s2, &mut got,
-                    )
-                };
-                prop_assert!(bits_eq(&got, &want));
-                let mut got_lse = vec![0.0; n];
-                unsafe { wa::lse_grad_finish_avx512(&ep, &em, s1, s2, &mut got_lse) };
-                prop_assert!(bits_eq(&got_lse, &want_lse));
             }
         }
     }

@@ -1,11 +1,7 @@
-//! Elementwise and reduction sweeps: uncontracted axpy, min/max folds,
-//! outline bounding boxes, and flip-resolved pin coordinates.
+//! The uncontracted `axpy` sweep.
 //!
-//! Every kernel here is **bit-exact** against its `_reference` twin for
-//! NaN-free inputs: the maps are elementwise with the reference's exact op
-//! order, and the min/max folds are associative + commutative, so any lane
-//! decomposition folds to the identical value (see the crate docs for the
-//! `±0.0` sign caveat).
+//! [`axpy`] is **bit-exact** against its `_reference` twin: each element
+//! takes the reference's multiply, then its add, in every lane.
 
 use crate::Backend;
 
@@ -65,363 +61,4 @@ pub(crate) unsafe fn axpy_avx512(acc: &mut [f64], a: f64, x: &[f64]) {
         i += 8;
     }
     axpy_reference(&mut acc[i..n], a, &x[i..n]);
-}
-
-/// `(min, max)` of `xs` — `(∞, −∞)` when empty.
-pub fn min_max(xs: &[f64]) -> (f64, f64) {
-    match crate::selected() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { min_max_avx512(xs) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { min_max_avx2(xs) },
-        _ => min_max_reference(xs),
-    }
-}
-
-/// Scalar twin of [`min_max`] (the seed's `fold(∞, f64::min)` /
-/// `fold(−∞, f64::max)` pair, interleaved into one pass — per-accumulator
-/// op sequences are unchanged).
-pub fn min_max_reference(xs: &[f64]) -> (f64, f64) {
-    let mut mn = f64::INFINITY;
-    let mut mx = f64::NEG_INFINITY;
-    for &x in xs {
-        mn = mn.min(x);
-        mx = mx.max(x);
-    }
-    (mn, mx)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn min_max_avx2(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len();
-    let mut vmn = _mm256_set1_pd(f64::INFINITY);
-    let mut vmx = _mm256_set1_pd(f64::NEG_INFINITY);
-    let mut i = 0;
-    while i + 4 <= n {
-        let v = _mm256_loadu_pd(xs.as_ptr().add(i));
-        vmn = _mm256_min_pd(vmn, v);
-        vmx = _mm256_max_pd(vmx, v);
-        i += 4;
-    }
-    let mut mn = fold_min4(vmn);
-    let mut mx = fold_max4(vmx);
-    while i < n {
-        mn = mn.min(xs[i]);
-        mx = mx.max(xs[i]);
-        i += 1;
-    }
-    (mn, mx)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn min_max_avx512(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len();
-    let mut vmn = _mm512_set1_pd(f64::INFINITY);
-    let mut vmx = _mm512_set1_pd(f64::NEG_INFINITY);
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm512_loadu_pd(xs.as_ptr().add(i));
-        vmn = _mm512_min_pd(vmn, v);
-        vmx = _mm512_max_pd(vmx, v);
-        i += 8;
-    }
-    let mut mn = _mm512_reduce_min_pd(vmn);
-    let mut mx = _mm512_reduce_max_pd(vmx);
-    while i < n {
-        mn = mn.min(xs[i]);
-        mx = mx.max(xs[i]);
-        i += 1;
-    }
-    (mn, mx)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fold_min4(v: __m256d) -> f64 {
-    let mut l = [0.0f64; 4];
-    _mm256_storeu_pd(l.as_mut_ptr(), v);
-    l[0].min(l[1]).min(l[2]).min(l[3])
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fold_max4(v: __m256d) -> f64 {
-    let mut l = [0.0f64; 4];
-    _mm256_storeu_pd(l.as_mut_ptr(), v);
-    l[0].max(l[1]).max(l[2]).max(l[3])
-}
-
-/// Outline bounding box `(xmin, ymin, xmax, ymax)` over device centers and
-/// half-dims — the SA cost assembly's area fold. `(∞, ∞, −∞, −∞)` when
-/// empty.
-///
-/// # Panics
-///
-/// Panics on slice length mismatches.
-pub fn bbox(pos_x: &[f64], pos_y: &[f64], halfw: &[f64], halfh: &[f64]) -> (f64, f64, f64, f64) {
-    let n = pos_x.len();
-    assert!(
-        pos_y.len() == n && halfw.len() == n && halfh.len() == n,
-        "bbox slice length mismatch"
-    );
-    match crate::selected() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { bbox_avx512(pos_x, pos_y, halfw, halfh) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { bbox_avx2(pos_x, pos_y, halfw, halfh) },
-        _ => bbox_reference(pos_x, pos_y, halfw, halfh),
-    }
-}
-
-/// Scalar twin of [`bbox`] (the evaluator's id-order folds, op for op).
-pub fn bbox_reference(
-    pos_x: &[f64],
-    pos_y: &[f64],
-    halfw: &[f64],
-    halfh: &[f64],
-) -> (f64, f64, f64, f64) {
-    let mut xmin = f64::INFINITY;
-    let mut ymin = f64::INFINITY;
-    let mut xmax = f64::NEG_INFINITY;
-    let mut ymax = f64::NEG_INFINITY;
-    for i in 0..pos_x.len() {
-        xmin = xmin.min(pos_x[i] - halfw[i]);
-        ymin = ymin.min(pos_y[i] - halfh[i]);
-        xmax = xmax.max(pos_x[i] + halfw[i]);
-        ymax = ymax.max(pos_y[i] + halfh[i]);
-    }
-    (xmin, ymin, xmax, ymax)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn bbox_avx2(
-    pos_x: &[f64],
-    pos_y: &[f64],
-    halfw: &[f64],
-    halfh: &[f64],
-) -> (f64, f64, f64, f64) {
-    let n = pos_x.len();
-    let mut vxmin = _mm256_set1_pd(f64::INFINITY);
-    let mut vymin = _mm256_set1_pd(f64::INFINITY);
-    let mut vxmax = _mm256_set1_pd(f64::NEG_INFINITY);
-    let mut vymax = _mm256_set1_pd(f64::NEG_INFINITY);
-    let mut i = 0;
-    while i + 4 <= n {
-        let px = _mm256_loadu_pd(pos_x.as_ptr().add(i));
-        let py = _mm256_loadu_pd(pos_y.as_ptr().add(i));
-        let hw = _mm256_loadu_pd(halfw.as_ptr().add(i));
-        let hh = _mm256_loadu_pd(halfh.as_ptr().add(i));
-        vxmin = _mm256_min_pd(vxmin, _mm256_sub_pd(px, hw));
-        vymin = _mm256_min_pd(vymin, _mm256_sub_pd(py, hh));
-        vxmax = _mm256_max_pd(vxmax, _mm256_add_pd(px, hw));
-        vymax = _mm256_max_pd(vymax, _mm256_add_pd(py, hh));
-        i += 4;
-    }
-    let mut xmin = fold_min4(vxmin);
-    let mut ymin = fold_min4(vymin);
-    let mut xmax = fold_max4(vxmax);
-    let mut ymax = fold_max4(vymax);
-    while i < n {
-        xmin = xmin.min(pos_x[i] - halfw[i]);
-        ymin = ymin.min(pos_y[i] - halfh[i]);
-        xmax = xmax.max(pos_x[i] + halfw[i]);
-        ymax = ymax.max(pos_y[i] + halfh[i]);
-        i += 1;
-    }
-    (xmin, ymin, xmax, ymax)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn bbox_avx512(
-    pos_x: &[f64],
-    pos_y: &[f64],
-    halfw: &[f64],
-    halfh: &[f64],
-) -> (f64, f64, f64, f64) {
-    let n = pos_x.len();
-    let mut vxmin = _mm512_set1_pd(f64::INFINITY);
-    let mut vymin = _mm512_set1_pd(f64::INFINITY);
-    let mut vxmax = _mm512_set1_pd(f64::NEG_INFINITY);
-    let mut vymax = _mm512_set1_pd(f64::NEG_INFINITY);
-    let mut i = 0;
-    while i + 8 <= n {
-        let px = _mm512_loadu_pd(pos_x.as_ptr().add(i));
-        let py = _mm512_loadu_pd(pos_y.as_ptr().add(i));
-        let hw = _mm512_loadu_pd(halfw.as_ptr().add(i));
-        let hh = _mm512_loadu_pd(halfh.as_ptr().add(i));
-        vxmin = _mm512_min_pd(vxmin, _mm512_sub_pd(px, hw));
-        vymin = _mm512_min_pd(vymin, _mm512_sub_pd(py, hh));
-        vxmax = _mm512_max_pd(vxmax, _mm512_add_pd(px, hw));
-        vymax = _mm512_max_pd(vymax, _mm512_add_pd(py, hh));
-        i += 8;
-    }
-    let mut xmin = _mm512_reduce_min_pd(vxmin);
-    let mut ymin = _mm512_reduce_min_pd(vymin);
-    let mut xmax = _mm512_reduce_max_pd(vxmax);
-    let mut ymax = _mm512_reduce_max_pd(vymax);
-    while i < n {
-        xmin = xmin.min(pos_x[i] - halfw[i]);
-        ymin = ymin.min(pos_y[i] - halfh[i]);
-        xmax = xmax.max(pos_x[i] + halfw[i]);
-        ymax = ymax.max(pos_y[i] + halfh[i]);
-        i += 1;
-    }
-    (xmin, ymin, xmax, ymax)
-}
-
-/// Per-pin constant arrays for [`pin_coords`], in flat pin order (the SoA
-/// mirror of the SA evaluator's `FlatPin`).
-#[derive(Debug, Clone, Copy)]
-pub struct PinArrays<'a> {
-    /// Owning device of each pin.
-    pub dev: &'a [u32],
-    /// Owning device's half-width, repeated per pin.
-    pub halfw: &'a [f64],
-    /// Owning device's half-height, repeated per pin.
-    pub halfh: &'a [f64],
-    /// Unflipped x pin offset.
-    pub offx: &'a [f64],
-    /// Flipped x pin offset.
-    pub offx_flip: &'a [f64],
-    /// Unflipped y pin offset.
-    pub offy: &'a [f64],
-    /// Flipped y pin offset.
-    pub offy_flip: &'a [f64],
-}
-
-/// Per-device state arrays for [`pin_coords`]: center coordinates plus
-/// flip masks encoded as `1.0` (flipped) / `0.0` (not flipped).
-#[derive(Debug, Clone, Copy)]
-pub struct DeviceArrays<'a> {
-    /// Device center x.
-    pub pos_x: &'a [f64],
-    /// Device center y.
-    pub pos_y: &'a [f64],
-    /// X flip mask (`1.0` / `0.0`).
-    pub flip_x: &'a [f64],
-    /// Y flip mask (`1.0` / `0.0`).
-    pub flip_y: &'a [f64],
-}
-
-/// Resolves every pin's absolute coordinates:
-/// `out[i] = (pos[dev[i]] - half[i]) + off[i]` with the flip-selected
-/// offset — the arithmetic of the SA evaluator's `flat_net_hpwl` pin loop,
-/// op for op. Elementwise, so bit-exact under every backend.
-///
-/// # Panics
-///
-/// Panics on slice length mismatches or a `dev` entry out of range of the
-/// device arrays (the bound that makes the SIMD gathers sound).
-pub fn pin_coords(pins: &PinArrays, devs: &DeviceArrays, out_x: &mut [f64], out_y: &mut [f64]) {
-    let n = pins.dev.len();
-    assert!(
-        pins.halfw.len() == n
-            && pins.halfh.len() == n
-            && pins.offx.len() == n
-            && pins.offx_flip.len() == n
-            && pins.offy.len() == n
-            && pins.offy_flip.len() == n
-            && out_x.len() == n
-            && out_y.len() == n,
-        "pin_coords pin-array length mismatch"
-    );
-    let nd = devs.pos_x.len();
-    assert!(
-        devs.pos_y.len() == nd && devs.flip_x.len() == nd && devs.flip_y.len() == nd,
-        "pin_coords device-array length mismatch"
-    );
-    assert!(
-        pins.dev.iter().all(|&d| (d as usize) < nd),
-        "pin_coords device index out of range"
-    );
-    match crate::selected() {
-        // AVX-512 runs the AVX2 kernel: the gathers dominate and stay
-        // 4-wide either way ([`crate::detected`] guarantees AVX2+FMA
-        // whenever AVX-512 is selected).
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 | Backend::Avx2 => unsafe { pin_coords_avx2(pins, devs, out_x, out_y, 0) },
-        _ => pin_coords_range(pins, devs, out_x, out_y, 0),
-    }
-}
-
-/// Scalar twin of [`pin_coords`].
-pub fn pin_coords_reference(
-    pins: &PinArrays,
-    devs: &DeviceArrays,
-    out_x: &mut [f64],
-    out_y: &mut [f64],
-) {
-    pin_coords_range(pins, devs, out_x, out_y, 0);
-}
-
-/// Scalar pin resolution from `start` to the end (also the SIMD tail).
-fn pin_coords_range(
-    pins: &PinArrays,
-    devs: &DeviceArrays,
-    out_x: &mut [f64],
-    out_y: &mut [f64],
-    start: usize,
-) {
-    for i in start..pins.dev.len() {
-        let d = pins.dev[i] as usize;
-        let off_x = if devs.flip_x[d] > 0.5 {
-            pins.offx_flip[i]
-        } else {
-            pins.offx[i]
-        };
-        let off_y = if devs.flip_y[d] > 0.5 {
-            pins.offy_flip[i]
-        } else {
-            pins.offy[i]
-        };
-        out_x[i] = devs.pos_x[d] - pins.halfw[i] + off_x;
-        out_y[i] = devs.pos_y[d] - pins.halfh[i] + off_y;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn pin_coords_avx2(
-    pins: &PinArrays,
-    devs: &DeviceArrays,
-    out_x: &mut [f64],
-    out_y: &mut [f64],
-    start: usize,
-) {
-    let n = pins.dev.len();
-    let half = _mm256_set1_pd(0.5);
-    let mut i = start;
-    while i + 4 <= n {
-        let idx = _mm_loadu_si128(pins.dev.as_ptr().add(i) as *const __m128i);
-        let fx = _mm256_i32gather_pd::<8>(devs.flip_x.as_ptr(), idx);
-        let fy = _mm256_i32gather_pd::<8>(devs.flip_y.as_ptr(), idx);
-        let px = _mm256_i32gather_pd::<8>(devs.pos_x.as_ptr(), idx);
-        let py = _mm256_i32gather_pd::<8>(devs.pos_y.as_ptr(), idx);
-        let off_x = _mm256_blendv_pd(
-            _mm256_loadu_pd(pins.offx.as_ptr().add(i)),
-            _mm256_loadu_pd(pins.offx_flip.as_ptr().add(i)),
-            _mm256_cmp_pd::<_CMP_GT_OQ>(fx, half),
-        );
-        let off_y = _mm256_blendv_pd(
-            _mm256_loadu_pd(pins.offy.as_ptr().add(i)),
-            _mm256_loadu_pd(pins.offy_flip.as_ptr().add(i)),
-            _mm256_cmp_pd::<_CMP_GT_OQ>(fy, half),
-        );
-        let x = _mm256_add_pd(
-            _mm256_sub_pd(px, _mm256_loadu_pd(pins.halfw.as_ptr().add(i))),
-            off_x,
-        );
-        let y = _mm256_add_pd(
-            _mm256_sub_pd(py, _mm256_loadu_pd(pins.halfh.as_ptr().add(i))),
-            off_y,
-        );
-        _mm256_storeu_pd(out_x.as_mut_ptr().add(i), x);
-        _mm256_storeu_pd(out_y.as_mut_ptr().add(i), y);
-        i += 4;
-    }
-    pin_coords_range(pins, devs, out_x, out_y, i);
 }

@@ -1,354 +1,21 @@
-//! WA / LSE wirelength-smoothing inner kernels.
-//!
-//! The smoothing hot loop splits into two passes per net axis: an
-//! exponential-sums pass ([`wa_exp_sums`], **bounded-ULP**: lane sums
-//! re-associate and the vector `exp` differs from `f64::exp` in the last
-//! bits) and a gradient finish ([`wa_grad_finish`] / [`lse_grad_finish`],
-//! **bit-exact**: purely elementwise with the reference's op order, given
-//! the same stored weights). Storing the weights in `ep`/`em` also halves
-//! the exponential count versus the seed, which recomputed them in its
-//! gradient pass — under the scalar backend the stored values are
-//! bit-identical to that recomputation, so the seed arithmetic is
-//! preserved exactly.
+//! The WA / LSE smoothing exponentials, batched into one sweep.
 
 use crate::Backend;
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-/// Exponential weight sums for one axis of WA smoothing, stabilized around
-/// the coordinate extremes: fills `ep[i] = e^{(x_i − xmax)/γ}` and
-/// `em[i] = e^{(xmin − x_i)/γ}` and returns
-/// `(Σep, Σx·ep, Σem, Σx·em)` accumulated in element order.
-///
-/// LSE smoothing uses the same kernel and ignores the `Σx·e` terms — the
-/// extra FMAs are cheaper than a second kernel, and the `Σe` accumulation
-/// sequences are unchanged by the extra accumulators.
-///
-/// Bounded-ULP under SIMD backends (re-associated lane sums + vector
-/// `exp`); the scalar backend is the seed loop op for op.
-///
-/// # Panics
-///
-/// Panics on slice length mismatches.
-pub fn wa_exp_sums(
-    coords: &[f64],
-    gamma: f64,
-    xmax: f64,
-    xmin: f64,
-    ep: &mut [f64],
-    em: &mut [f64],
-) -> (f64, f64, f64, f64) {
-    assert!(
-        ep.len() == coords.len() && em.len() == coords.len(),
-        "wa_exp_sums slice length mismatch"
-    );
-    match crate::selected() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { wa_exp_sums_avx512(coords, gamma, xmax, xmin, ep, em) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { wa_exp_sums_avx2(coords, gamma, xmax, xmin, ep, em) },
-        _ => wa_exp_sums_reference(coords, gamma, xmax, xmin, ep, em),
-    }
-}
-
-/// Scalar twin of [`wa_exp_sums`] (the seed accumulation loop, op for op).
-pub fn wa_exp_sums_reference(
-    coords: &[f64],
-    gamma: f64,
-    xmax: f64,
-    xmin: f64,
-    ep: &mut [f64],
-    em: &mut [f64],
-) -> (f64, f64, f64, f64) {
-    let mut s1 = 0.0;
-    let mut s1x = 0.0;
-    let mut s2 = 0.0;
-    let mut s2x = 0.0;
-    for (i, &x) in coords.iter().enumerate() {
-        let e_p = ((x - xmax) / gamma).exp();
-        let e_m = ((xmin - x) / gamma).exp();
-        s1 += e_p;
-        s1x += x * e_p;
-        s2 += e_m;
-        s2x += x * e_m;
-        ep[i] = e_p;
-        em[i] = e_m;
-    }
-    (s1, s1x, s2, s2x)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn wa_exp_sums_avx2(
-    coords: &[f64],
-    gamma: f64,
-    xmax: f64,
-    xmin: f64,
-    ep: &mut [f64],
-    em: &mut [f64],
-) -> (f64, f64, f64, f64) {
-    let n = coords.len();
-    let vg = _mm256_set1_pd(gamma);
-    let vmax = _mm256_set1_pd(xmax);
-    let vmin = _mm256_set1_pd(xmin);
-    let mut vs1 = _mm256_setzero_pd();
-    let mut vs1x = _mm256_setzero_pd();
-    let mut vs2 = _mm256_setzero_pd();
-    let mut vs2x = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        let x = _mm256_loadu_pd(coords.as_ptr().add(i));
-        let e_p = crate::exp::exp_pd_avx2(_mm256_div_pd(_mm256_sub_pd(x, vmax), vg));
-        let e_m = crate::exp::exp_pd_avx2(_mm256_div_pd(_mm256_sub_pd(vmin, x), vg));
-        _mm256_storeu_pd(ep.as_mut_ptr().add(i), e_p);
-        _mm256_storeu_pd(em.as_mut_ptr().add(i), e_m);
-        vs1 = _mm256_add_pd(vs1, e_p);
-        vs1x = _mm256_fmadd_pd(x, e_p, vs1x);
-        vs2 = _mm256_add_pd(vs2, e_m);
-        vs2x = _mm256_fmadd_pd(x, e_m, vs2x);
-        i += 4;
-    }
-    let mut s1 = hsum4(vs1);
-    let mut s1x = hsum4(vs1x);
-    let mut s2 = hsum4(vs2);
-    let mut s2x = hsum4(vs2x);
-    while i < n {
-        let x = coords[i];
-        let e_p = ((x - xmax) / gamma).exp();
-        let e_m = ((xmin - x) / gamma).exp();
-        s1 += e_p;
-        s1x += x * e_p;
-        s2 += e_m;
-        s2x += x * e_m;
-        ep[i] = e_p;
-        em[i] = e_m;
-        i += 1;
-    }
-    (s1, s1x, s2, s2x)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn wa_exp_sums_avx512(
-    coords: &[f64],
-    gamma: f64,
-    xmax: f64,
-    xmin: f64,
-    ep: &mut [f64],
-    em: &mut [f64],
-) -> (f64, f64, f64, f64) {
-    let n = coords.len();
-    let vg = _mm512_set1_pd(gamma);
-    let vmax = _mm512_set1_pd(xmax);
-    let vmin = _mm512_set1_pd(xmin);
-    let mut vs1 = _mm512_setzero_pd();
-    let mut vs1x = _mm512_setzero_pd();
-    let mut vs2 = _mm512_setzero_pd();
-    let mut vs2x = _mm512_setzero_pd();
-    let mut i = 0;
-    while i + 8 <= n {
-        let x = _mm512_loadu_pd(coords.as_ptr().add(i));
-        let e_p = crate::exp::exp_pd_avx512(_mm512_div_pd(_mm512_sub_pd(x, vmax), vg));
-        let e_m = crate::exp::exp_pd_avx512(_mm512_div_pd(_mm512_sub_pd(vmin, x), vg));
-        _mm512_storeu_pd(ep.as_mut_ptr().add(i), e_p);
-        _mm512_storeu_pd(em.as_mut_ptr().add(i), e_m);
-        vs1 = _mm512_add_pd(vs1, e_p);
-        vs1x = _mm512_fmadd_pd(x, e_p, vs1x);
-        vs2 = _mm512_add_pd(vs2, e_m);
-        vs2x = _mm512_fmadd_pd(x, e_m, vs2x);
-        i += 8;
-    }
-    let mut s1 = hsum8(vs1);
-    let mut s1x = hsum8(vs1x);
-    let mut s2 = hsum8(vs2);
-    let mut s2x = hsum8(vs2x);
-    while i < n {
-        let x = coords[i];
-        let e_p = ((x - xmax) / gamma).exp();
-        let e_m = ((xmin - x) / gamma).exp();
-        s1 += e_p;
-        s1x += x * e_p;
-        s2 += e_m;
-        s2x += x * e_m;
-        ep[i] = e_p;
-        em[i] = e_m;
-        i += 1;
-    }
-    (s1, s1x, s2, s2x)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn hsum4(v: __m256d) -> f64 {
-    let mut l = [0.0f64; 4];
-    _mm256_storeu_pd(l.as_mut_ptr(), v);
-    ((l[0] + l[1]) + l[2]) + l[3]
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn hsum8(v: __m512d) -> f64 {
-    let mut l = [0.0f64; 8];
-    _mm512_storeu_pd(l.as_mut_ptr(), v);
-    l.iter().skip(1).fold(l[0], |a, &b| a + b)
-}
-
-/// WA gradient finish: given the stored weights and their sums,
-/// `grads[i] = ep/s1·(1 + (x − wa_max)/γ) − em/s2·(1 − (x − wa_min)/γ)`
-/// — the seed's gradient pass, op for op. Elementwise, so **bit-exact**
-/// under every backend.
-///
-/// # Panics
-///
-/// Panics on slice length mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn wa_grad_finish(
-    coords: &[f64],
-    ep: &[f64],
-    em: &[f64],
-    gamma: f64,
-    wa_max: f64,
-    wa_min: f64,
-    s1: f64,
-    s2: f64,
-    grads: &mut [f64],
-) {
-    let n = coords.len();
-    assert!(
-        ep.len() == n && em.len() == n && grads.len() == n,
-        "wa_grad_finish slice length mismatch"
-    );
-    match crate::selected() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe {
-            wa_grad_finish_avx512(coords, ep, em, gamma, wa_max, wa_min, s1, s2, grads)
-        },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
-            wa_grad_finish_avx2(coords, ep, em, gamma, wa_max, wa_min, s1, s2, grads)
-        },
-        _ => wa_grad_finish_reference(coords, ep, em, gamma, wa_max, wa_min, s1, s2, grads),
-    }
-}
-
-/// Scalar twin of [`wa_grad_finish`].
-#[allow(clippy::too_many_arguments)]
-pub fn wa_grad_finish_reference(
-    coords: &[f64],
-    ep: &[f64],
-    em: &[f64],
-    gamma: f64,
-    wa_max: f64,
-    wa_min: f64,
-    s1: f64,
-    s2: f64,
-    grads: &mut [f64],
-) {
-    for i in 0..coords.len() {
-        let x = coords[i];
-        let dmax = ep[i] / s1 * (1.0 + (x - wa_max) / gamma);
-        let dmin = em[i] / s2 * (1.0 - (x - wa_min) / gamma);
-        grads[i] = dmax - dmin;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn wa_grad_finish_avx2(
-    coords: &[f64],
-    ep: &[f64],
-    em: &[f64],
-    gamma: f64,
-    wa_max: f64,
-    wa_min: f64,
-    s1: f64,
-    s2: f64,
-    grads: &mut [f64],
-) {
-    let n = coords.len();
-    let vg = _mm256_set1_pd(gamma);
-    let vwmax = _mm256_set1_pd(wa_max);
-    let vwmin = _mm256_set1_pd(wa_min);
-    let vs1 = _mm256_set1_pd(s1);
-    let vs2 = _mm256_set1_pd(s2);
-    let one = _mm256_set1_pd(1.0);
-    let mut i = 0;
-    while i + 4 <= n {
-        let x = _mm256_loadu_pd(coords.as_ptr().add(i));
-        let e_p = _mm256_loadu_pd(ep.as_ptr().add(i));
-        let e_m = _mm256_loadu_pd(em.as_ptr().add(i));
-        // Same op order as the reference — mul/div/add only, no FMA.
-        let tmax = _mm256_add_pd(one, _mm256_div_pd(_mm256_sub_pd(x, vwmax), vg));
-        let tmin = _mm256_sub_pd(one, _mm256_div_pd(_mm256_sub_pd(x, vwmin), vg));
-        let dmax = _mm256_mul_pd(_mm256_div_pd(e_p, vs1), tmax);
-        let dmin = _mm256_mul_pd(_mm256_div_pd(e_m, vs2), tmin);
-        _mm256_storeu_pd(grads.as_mut_ptr().add(i), _mm256_sub_pd(dmax, dmin));
-        i += 4;
-    }
-    while i < n {
-        let x = coords[i];
-        let dmax = ep[i] / s1 * (1.0 + (x - wa_max) / gamma);
-        let dmin = em[i] / s2 * (1.0 - (x - wa_min) / gamma);
-        grads[i] = dmax - dmin;
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn wa_grad_finish_avx512(
-    coords: &[f64],
-    ep: &[f64],
-    em: &[f64],
-    gamma: f64,
-    wa_max: f64,
-    wa_min: f64,
-    s1: f64,
-    s2: f64,
-    grads: &mut [f64],
-) {
-    let n = coords.len();
-    let vg = _mm512_set1_pd(gamma);
-    let vwmax = _mm512_set1_pd(wa_max);
-    let vwmin = _mm512_set1_pd(wa_min);
-    let vs1 = _mm512_set1_pd(s1);
-    let vs2 = _mm512_set1_pd(s2);
-    let one = _mm512_set1_pd(1.0);
-    let mut i = 0;
-    while i + 8 <= n {
-        let x = _mm512_loadu_pd(coords.as_ptr().add(i));
-        let e_p = _mm512_loadu_pd(ep.as_ptr().add(i));
-        let e_m = _mm512_loadu_pd(em.as_ptr().add(i));
-        let tmax = _mm512_add_pd(one, _mm512_div_pd(_mm512_sub_pd(x, vwmax), vg));
-        let tmin = _mm512_sub_pd(one, _mm512_div_pd(_mm512_sub_pd(x, vwmin), vg));
-        let dmax = _mm512_mul_pd(_mm512_div_pd(e_p, vs1), tmax);
-        let dmin = _mm512_mul_pd(_mm512_div_pd(e_m, vs2), tmin);
-        _mm512_storeu_pd(grads.as_mut_ptr().add(i), _mm512_sub_pd(dmax, dmin));
-        i += 8;
-    }
-    while i < n {
-        let x = coords[i];
-        let dmax = ep[i] / s1 * (1.0 + (x - wa_max) / gamma);
-        let dmin = em[i] / s2 * (1.0 - (x - wa_min) / gamma);
-        grads[i] = dmax - dmin;
-        i += 1;
-    }
-}
-
 /// In-place elementwise exponential over a flat argument array:
 /// `xs[i] ← e^{xs[i]}`.
 ///
 /// This is the batch form of the smoothing exponentials: the WA/LSE
-/// gradient gathers every net's stabilized arguments for a whole net block
+/// gradient gathers every net's stabilized arguments for the whole circuit
 /// into one flat array and exponentiates them in a single sweep, so the
 /// vector lanes stay full even though analog nets average only a handful
 /// of pins each. **Bounded-ULP** under SIMD backends (the ≤ 2-ULP vector
-/// polynomial in [`crate::exp`], scalar `f64::exp` on the tail); the
-/// scalar backend applies `f64::exp` per element in index order, which is
-/// bit-identical to the seed's per-coordinate exponentials.
+/// polynomial of the crate's `exp` module, scalar `f64::exp` on the tail);
+/// the scalar backend applies `f64::exp` per element in index order, which
+/// is bit-identical to the seed's per-coordinate exponentials.
 pub fn exp_slice(xs: &mut [f64]) {
     match crate::selected() {
         #[cfg(target_arch = "x86_64")]
@@ -394,93 +61,6 @@ pub(crate) unsafe fn exp_slice_avx512(xs: &mut [f64]) {
     }
     while i < n {
         xs[i] = xs[i].exp();
-        i += 1;
-    }
-}
-
-/// LSE gradient finish: `grads[i] = ep[i]/s_max − em[i]/s_min` — the
-/// seed's LSE gradient pass given stored weights. Elementwise, so
-/// **bit-exact** under every backend.
-///
-/// # Panics
-///
-/// Panics on slice length mismatches.
-pub fn lse_grad_finish(ep: &[f64], em: &[f64], s_max: f64, s_min: f64, grads: &mut [f64]) {
-    let n = ep.len();
-    assert!(
-        em.len() == n && grads.len() == n,
-        "lse_grad_finish slice length mismatch"
-    );
-    match crate::selected() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { lse_grad_finish_avx512(ep, em, s_max, s_min, grads) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { lse_grad_finish_avx2(ep, em, s_max, s_min, grads) },
-        _ => lse_grad_finish_reference(ep, em, s_max, s_min, grads),
-    }
-}
-
-/// Scalar twin of [`lse_grad_finish`].
-pub fn lse_grad_finish_reference(
-    ep: &[f64],
-    em: &[f64],
-    s_max: f64,
-    s_min: f64,
-    grads: &mut [f64],
-) {
-    for i in 0..ep.len() {
-        let p_max = ep[i] / s_max;
-        let p_min = em[i] / s_min;
-        grads[i] = p_max - p_min;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn lse_grad_finish_avx2(
-    ep: &[f64],
-    em: &[f64],
-    s_max: f64,
-    s_min: f64,
-    grads: &mut [f64],
-) {
-    let n = ep.len();
-    let vsmax = _mm256_set1_pd(s_max);
-    let vsmin = _mm256_set1_pd(s_min);
-    let mut i = 0;
-    while i + 4 <= n {
-        let p_max = _mm256_div_pd(_mm256_loadu_pd(ep.as_ptr().add(i)), vsmax);
-        let p_min = _mm256_div_pd(_mm256_loadu_pd(em.as_ptr().add(i)), vsmin);
-        _mm256_storeu_pd(grads.as_mut_ptr().add(i), _mm256_sub_pd(p_max, p_min));
-        i += 4;
-    }
-    while i < n {
-        grads[i] = ep[i] / s_max - em[i] / s_min;
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn lse_grad_finish_avx512(
-    ep: &[f64],
-    em: &[f64],
-    s_max: f64,
-    s_min: f64,
-    grads: &mut [f64],
-) {
-    let n = ep.len();
-    let vsmax = _mm512_set1_pd(s_max);
-    let vsmin = _mm512_set1_pd(s_min);
-    let mut i = 0;
-    while i + 8 <= n {
-        let p_max = _mm512_div_pd(_mm512_loadu_pd(ep.as_ptr().add(i)), vsmax);
-        let p_min = _mm512_div_pd(_mm512_loadu_pd(em.as_ptr().add(i)), vsmin);
-        _mm512_storeu_pd(grads.as_mut_ptr().add(i), _mm512_sub_pd(p_max, p_min));
-        i += 8;
-    }
-    while i < n {
-        grads[i] = ep[i] / s_max - em[i] / s_min;
         i += 1;
     }
 }
