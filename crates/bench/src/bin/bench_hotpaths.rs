@@ -319,6 +319,48 @@ fn main() {
         });
     }
 
+    // --- sa_pack_scf: the pack at a paper circuit's size. ---------------
+    // SA's move loop packs scf's 24 blocks (the largest paper circuit's
+    // block count), two orders of magnitude below `sa_pack`'s 2048.
+    // 64 sequence pairs, 16 passes each.
+    {
+        let model = BlockModel::new(&testcases::scf());
+        let n = model.len();
+        let widths: Vec<f64> = model.blocks.iter().map(|b| b.width).collect();
+        let heights: Vec<f64> = model.blocks.iter().map(|b| b.height).collect();
+        let pairs: Vec<SequencePair> = (0..64u64)
+            .map(|k| SequencePair {
+                s1: lcg_permutation(n, 2 * k + 1),
+                s2: lcg_permutation(n, 2 * k + 2),
+                flips: vec![(false, false); n],
+            })
+            .collect();
+        let passes = 16;
+        let mut scratch = PackScratch::new();
+        let mut out = Vec::new();
+        let after = time_median(samples, || {
+            for _ in 0..passes {
+                for sp in &pairs {
+                    sp.pack_dims_with(&widths, &heights, &mut scratch, &mut out);
+                    std::hint::black_box(&out);
+                }
+            }
+        });
+        let before = time_median(samples, || {
+            for _ in 0..passes {
+                for sp in &pairs {
+                    std::hint::black_box(sp.pack_dims_reference(&widths, &heights));
+                }
+            }
+        });
+        rows.push(BenchRow {
+            name: "sa_pack_scf".to_string(),
+            detail: format!("scf, {n} blocks, {} packings", passes * pairs.len()),
+            before_ms: before * 1e3,
+            after_ms: after * 1e3,
+        });
+    }
+
     // --- sa_move: incremental trial pricing vs full recomputation. ------
     {
         let circuit = testcases::cc_ota();
@@ -776,24 +818,25 @@ fn main() {
     // speedups, so regressions are visible in history without diffing the
     // snapshot files by hand.
     {
-        use placer_obs::ledger::{LedgerRecord, RunLedger};
+        use placer_obs::ledger::RunLedger;
 
         let ledger = RunLedger::from_flag(common.ledger.as_deref());
-        let mut record = LedgerRecord::new("bench_hotpaths");
-        record
-            .flag("quick", quick)
-            .str_field("out", &out_path)
-            .str_field("simd_detected", placer_simd::detected().name())
-            .str_field("simd_selected", placer_simd::selected().name())
-            .uint("threads", placer_parallel::max_threads() as u64)
-            .uint("lanes", rows.len() as u64)
-            .uint("lanes_skipped", skipped.len() as u64)
-            .num("wall_ms", t0.elapsed().as_secs_f64() * 1e3);
-        for r in &rows {
-            record.num(&format!("speedup.{}", r.name), r.before_ms / r.after_ms);
-        }
-        record.metrics(&placer_obs::metrics::MetricsSnapshot::capture());
-        if let Err(e) = ledger.append(&record) {
+        let logged = ledger.record("bench_hotpaths", |record| {
+            record
+                .flag("quick", quick)
+                .str_field("out", &out_path)
+                .str_field("simd_detected", placer_simd::detected().name())
+                .str_field("simd_selected", placer_simd::selected().name())
+                .uint("threads", placer_parallel::max_threads() as u64)
+                .uint("lanes", rows.len() as u64)
+                .uint("lanes_skipped", skipped.len() as u64)
+                .num("wall_ms", t0.elapsed().as_secs_f64() * 1e3);
+            for r in &rows {
+                record.num(&format!("speedup.{}", r.name), r.before_ms / r.after_ms);
+            }
+            record.metrics(&placer_obs::metrics::MetricsSnapshot::capture());
+        });
+        if let Err(e) = logged {
             eprintln!("bench_hotpaths: appending run ledger: {e}");
         }
     }

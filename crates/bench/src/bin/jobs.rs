@@ -34,7 +34,7 @@ use std::process::ExitCode;
 
 use placer_bench::cli::{parse_status, value, CommonOpts, ObsSession, COMMON_USAGE};
 use placer_jobs::{parse_jobs, JobEngine, JobStatus};
-use placer_obs::ledger::{LedgerRecord, RunLedger};
+use placer_obs::ledger::RunLedger;
 use placer_obs::progress;
 
 struct Options {
@@ -165,31 +165,32 @@ fn main() -> ExitCode {
     }
 
     let ledger = RunLedger::from_flag(opts.common.ledger.as_deref());
-    let mut record = LedgerRecord::new("jobs");
-    record
-        .str_field("specs", &opts.specs_path)
-        .uint("jobs", reports.len() as u64)
-        .num("wall_ms", wall_ms)
-        .str_field("simd", placer_simd::selected().name())
-        .uint("threads", placer_parallel::max_threads() as u64)
-        .flag("resume", opts.engine.resume)
-        .uint("progress_dropped", progress::dropped());
-    for (key, status) in [
-        ("complete", JobStatus::Complete),
-        ("exhausted", JobStatus::Exhausted),
-        ("cancelled", JobStatus::Cancelled),
-        ("killed", JobStatus::Killed),
-        ("failed", JobStatus::Failed),
-    ] {
-        let n = reports.iter().filter(|r| r.status == status).count();
-        record.uint(key, n as u64);
-    }
-    for (key, mode) in [("eco_fast", "fast"), ("eco_fallback", "fallback")] {
-        let n = reports.iter().filter(|r| r.eco == Some(mode)).count();
-        record.uint(key, n as u64);
-    }
-    record.metrics(&metrics);
-    if let Err(e) = ledger.append(&record) {
+    let logged = ledger.record("jobs", |record| {
+        record
+            .str_field("specs", &opts.specs_path)
+            .uint("jobs", reports.len() as u64)
+            .num("wall_ms", wall_ms)
+            .str_field("simd", placer_simd::selected().name())
+            .uint("threads", placer_parallel::max_threads() as u64)
+            .flag("resume", opts.engine.resume)
+            .uint("progress_dropped", progress::dropped());
+        for (key, status) in [
+            ("complete", JobStatus::Complete),
+            ("exhausted", JobStatus::Exhausted),
+            ("cancelled", JobStatus::Cancelled),
+            ("killed", JobStatus::Killed),
+            ("failed", JobStatus::Failed),
+        ] {
+            let n = reports.iter().filter(|r| r.status == status).count();
+            record.uint(key, n as u64);
+        }
+        for (key, mode) in [("eco_fast", "fast"), ("eco_fallback", "fallback")] {
+            let n = reports.iter().filter(|r| r.eco == Some(mode)).count();
+            record.uint(key, n as u64);
+        }
+        record.metrics(&metrics);
+    });
+    if let Err(e) = logged {
         eprintln!("jobs: appending run ledger: {e}");
     }
 

@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use placer_bench::cli::{parse_status, value, CommonOpts, COMMON_USAGE};
 use placer_jobs::{parse_jobs, JobStatus};
 use placer_obs::json::{field, parse_object};
-use placer_obs::ledger::{LedgerRecord, RunLedger};
+use placer_obs::ledger::RunLedger;
 use placer_serve::{report_id, Client, ClientError};
 
 struct Options {
@@ -245,15 +245,16 @@ fn main() -> ExitCode {
     }
 
     let ledger = RunLedger::from_flag(opts.common.ledger.as_deref());
-    let mut record = LedgerRecord::new("submit");
-    record
-        .str_field("addr", &opts.addr)
-        .str_field("tenant", &opts.tenant)
-        .uint("jobs", specs.len() as u64)
-        .flag("stream", stream)
-        .flag("shutdown", opts.shutdown)
-        .num("wall_ms", t0.elapsed().as_secs_f64() * 1e3);
-    if let Err(e) = ledger.append(&record) {
+    let logged = ledger.record("submit", |record| {
+        record
+            .str_field("addr", &opts.addr)
+            .str_field("tenant", &opts.tenant)
+            .uint("jobs", specs.len() as u64)
+            .flag("stream", stream)
+            .flag("shutdown", opts.shutdown)
+            .num("wall_ms", t0.elapsed().as_secs_f64() * 1e3);
+    });
+    if let Err(e) = logged {
         eprintln!("submit: appending run ledger: {e}");
     }
 

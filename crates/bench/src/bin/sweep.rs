@@ -42,7 +42,7 @@ use std::process::ExitCode;
 
 use placer_bench::cli::{parse_floats, parse_seeds, value, CommonOpts, ObsSession, COMMON_USAGE};
 use placer_jobs::{normalize_timing, Profile};
-use placer_obs::ledger::{LedgerRecord, RunLedger};
+use placer_obs::ledger::RunLedger;
 use placer_obs::progress;
 use placer_sweep::{SweepConfig, SweepEngine, SweepResult};
 use placer_telemetry::vlog;
@@ -261,26 +261,27 @@ fn main() -> ExitCode {
     );
 
     let ledger = RunLedger::from_flag(opts.common.ledger.as_deref());
-    let mut record = LedgerRecord::new("sweep");
-    record
-        .str_field("circuit", &opts.config.circuit)
-        .uint("variants", result.variants.len() as u64)
-        .uint(
-            "racers",
-            result.variants.iter().map(|v| v.reports.len() as u64).sum(),
-        )
-        .uint("killed", result.killed() as u64)
-        .uint("pareto", result.pareto.len() as u64)
-        .uint("cache_hits", result.cache_hits)
-        .uint("cache_misses", result.cache_misses)
-        .num("cache_hit_rate", result.cache_hit_rate())
-        .num("wall_ms", wall_ms)
-        .str_field("simd", placer_simd::selected().name())
-        .uint("threads", placer_parallel::max_threads() as u64)
-        .flag("stable", opts.stable)
-        .uint("progress_dropped", progress::dropped());
-    record.metrics(&metrics);
-    if let Err(e) = ledger.append(&record) {
+    let logged = ledger.record("sweep", |record| {
+        record
+            .str_field("circuit", &opts.config.circuit)
+            .uint("variants", result.variants.len() as u64)
+            .uint(
+                "racers",
+                result.variants.iter().map(|v| v.reports.len() as u64).sum(),
+            )
+            .uint("killed", result.killed() as u64)
+            .uint("pareto", result.pareto.len() as u64)
+            .uint("cache_hits", result.cache_hits)
+            .uint("cache_misses", result.cache_misses)
+            .num("cache_hit_rate", result.cache_hit_rate())
+            .num("wall_ms", wall_ms)
+            .str_field("simd", placer_simd::selected().name())
+            .uint("threads", placer_parallel::max_threads() as u64)
+            .flag("stable", opts.stable)
+            .uint("progress_dropped", progress::dropped())
+            .metrics(&metrics);
+    });
+    if let Err(e) = logged {
         eprintln!("sweep: appending run ledger: {e}");
     }
 

@@ -14,7 +14,7 @@ use crate::area::area_term;
 use crate::budget::{BudgetStatus, RunBudget};
 use crate::density::DensityGrid;
 use crate::symmetry::{project_symmetry, symmetry_penalty};
-use crate::wirelength::{exact_hpwl, smoothed_wirelength};
+use crate::wirelength::{exact_hpwl, smoothed_wirelength_with, WirelengthScratch};
 use crate::{GlobalConfig, SymmetryMode};
 
 /// Statistics of a global placement run.
@@ -188,7 +188,15 @@ impl GlobalPlacer {
         let mut gamma = cfg.gamma_bins * bin_x;
         let pts0 = to_points(&v0, n);
         let mut g_wl = vec![0.0; 2 * n];
-        smoothed_wirelength(circuit, &pts0, gamma, &mut g_wl, cfg.smoothing);
+        let mut wl_scratch = WirelengthScratch::new();
+        smoothed_wirelength_with(
+            circuit,
+            &pts0,
+            gamma,
+            &mut g_wl,
+            cfg.smoothing,
+            &mut wl_scratch,
+        );
         let eval0 = density.evaluate(circuit, &pts0);
         let mut g_sym = vec![0.0; 2 * n];
         symmetry_penalty(circuit, &pts0, 1.0, &mut g_sym);
@@ -258,7 +266,14 @@ impl GlobalPlacer {
             iterations = iter + 1;
             let pts = to_points(state.reference(), n);
             grad.iter_mut().for_each(|g| *g = 0.0);
-            smoothed_wirelength(circuit, &pts, gamma, &mut grad, cfg.smoothing);
+            smoothed_wirelength_with(
+                circuit,
+                &pts,
+                gamma,
+                &mut grad,
+                cfg.smoothing,
+                &mut wl_scratch,
+            );
             let eval = density.evaluate(circuit, &pts);
             placer_simd::axpy(&mut grad, lambda, &eval.grad);
             symmetry_penalty(circuit, &pts, tau, &mut grad);

@@ -6,13 +6,17 @@
 
 use analog_netlist::Circuit;
 
-/// Flat staging for the batched spread accumulation: every multi-pin net
-/// contributes its pin coordinates and stabilized exponent arguments to
-/// these arrays, so the exponentials run as a handful of long
+/// Reusable flat staging for [`smoothed_wirelength_with`]: every multi-pin
+/// net contributes its pin coordinates and stabilized exponent arguments
+/// to these arrays, so the exponentials run as a handful of long
 /// [`placer_simd::exp_slice`] sweeps instead of one tiny kernel call per
 /// 2–10-pin analog net (per-net dispatch overhead dwarfed the work).
+///
+/// The arrays grow on first use and are reused afterwards, so a loop that
+/// keeps one scratch (ePlace's Nesterov loop) evaluates the wirelength
+/// without allocating.
 #[derive(Debug, Default)]
-struct BatchScratch {
+pub struct WirelengthScratch {
     /// Pin x/y coordinates, concatenated in net order.
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -28,6 +32,13 @@ struct BatchScratch {
     nets: Vec<u32>,
     /// Per-net coordinate extremes `(xmin, xmax, ymin, ymax)`.
     ext: Vec<(f64, f64, f64, f64)>,
+}
+
+impl WirelengthScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 /// One axis of WA smoothing over a coordinate set: returns the smoothed
@@ -174,8 +185,8 @@ fn accumulate_nets<F: FnMut(&[f64], f64, &mut [f64]) -> f64>(
     total
 }
 
-/// Accumulates every net with batched exponentials, owning the flat
-/// staging scratch.
+/// Accumulates every net with batched exponentials into the flat staging
+/// scratch `sc`.
 ///
 /// Four phases: (1) gather every multi-pin net's pin coordinates
 /// into flat arrays; (2) per net, fold the coordinate extremes and write
@@ -201,10 +212,15 @@ fn accumulate_nets_simd(
     gamma: f64,
     smoothing: crate::Smoothing,
     grad: &mut [f64],
+    sc: &mut WirelengthScratch,
 ) -> f64 {
     let n = circuit.num_devices();
     let nets = circuit.nets();
-    let mut sc = BatchScratch::default();
+    sc.xs.clear();
+    sc.ys.clear();
+    sc.starts.clear();
+    sc.nets.clear();
+    sc.ext.clear();
 
     // Phase 1: gather pin coordinates of every multi-pin net.
     for (ni, net) in nets.iter().enumerate() {
@@ -371,6 +387,9 @@ fn lse_finish(
 
 /// Smoothed total wirelength with a selectable smoother.
 ///
+/// Allocates its staging; see [`smoothed_wirelength_with`] for the
+/// allocation-free entry point.
+///
 /// # Panics
 ///
 /// Panics on size mismatches (see [`wa_wirelength`]).
@@ -381,11 +400,29 @@ pub fn smoothed_wirelength(
     grad: &mut [f64],
     smoothing: crate::Smoothing,
 ) -> f64 {
+    let mut scratch = WirelengthScratch::new();
+    smoothed_wirelength_with(circuit, positions, gamma, grad, smoothing, &mut scratch)
+}
+
+/// [`smoothed_wirelength`] over caller-owned staging: with a warm
+/// `scratch` the call performs no heap allocation.
+///
+/// # Panics
+///
+/// Panics on size mismatches (see [`wa_wirelength`]).
+pub fn smoothed_wirelength_with(
+    circuit: &Circuit,
+    positions: &[(f64, f64)],
+    gamma: f64,
+    grad: &mut [f64],
+    smoothing: crate::Smoothing,
+    scratch: &mut WirelengthScratch,
+) -> f64 {
     let n = circuit.num_devices();
     assert_eq!(positions.len(), n, "positions length mismatch");
     assert_eq!(grad.len(), 2 * n, "gradient length mismatch");
     grad.iter_mut().for_each(|g| *g = 0.0);
-    accumulate_nets_simd(circuit, positions, gamma, smoothing, grad)
+    accumulate_nets_simd(circuit, positions, gamma, smoothing, grad, scratch)
 }
 
 /// Exact HPWL with the same pin model as [`wa_wirelength`] (for tests and

@@ -8,6 +8,11 @@
 //! becomes a machine-readable history of what ran on this checkout —
 //! `trace_report` summarizes it, `trace_diff` compares entries.
 //!
+//! The provenance stamp is taken once per process ([`git_describe`]), and
+//! [`RunLedger::record`] builds a record only when the ledger is enabled,
+//! so a daemon that logs every report spawns `git` at most once, and a
+//! disabled ledger (`--ledger none`) never does.
+//!
 //! Appends are a single `write` on a file opened with `O_APPEND`, so
 //! concurrent invocations interleave whole records, never partial lines.
 
@@ -15,6 +20,7 @@ use std::fmt::Write as FmtWrite;
 use std::fs::OpenOptions;
 use std::io::{self, Write as IoWrite};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::{push_escaped, push_f64};
@@ -28,7 +34,21 @@ pub const LEDGER_SCHEMA: u64 = 1;
 
 /// `git describe --always --dirty --tags` for the working directory, or
 /// `"unknown"` when git (or a repository) is unavailable.
-pub fn git_describe() -> String {
+///
+/// `git` runs at the first call only; later calls return the same stamp.
+/// The running binary does not change after it starts, so one stamp per
+/// process is also the truer provenance.
+pub fn git_describe() -> &'static str {
+    static STAMP: OnceLock<String> = OnceLock::new();
+    STAMP.get_or_init(run_git_describe)
+}
+
+#[cfg(test)]
+static GIT_RUNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+fn run_git_describe() -> String {
+    #[cfg(test)]
+    GIT_RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--tags"])
         .output()
@@ -69,13 +89,26 @@ impl RunLedger {
         self.path.as_deref()
     }
 
-    /// Appends one record (creating parent directories and the file on
-    /// first use). Returns `Ok(false)` when the ledger is disabled.
+    /// Builds one record for command `cmd` with `fill` and appends it
+    /// (creating parent directories and the file on first use). A
+    /// disabled ledger builds nothing: neither `fill` nor the record's
+    /// provenance stamp runs, and the call returns `Ok(false)`.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from the open or write.
-    pub fn append(&self, record: &LedgerRecord) -> io::Result<bool> {
+    pub fn record(&self, cmd: &str, fill: impl FnOnce(&mut LedgerRecord)) -> io::Result<bool> {
+        if self.path.is_none() {
+            return Ok(false);
+        }
+        let mut record = LedgerRecord::new(cmd);
+        fill(&mut record);
+        self.append(&record)
+    }
+
+    /// Appends one record (creating parent directories and the file on
+    /// first use). Returns `Ok(false)` when the ledger is disabled.
+    fn append(&self, record: &LedgerRecord) -> io::Result<bool> {
         let Some(path) = &self.path else {
             return Ok(false);
         };
@@ -112,7 +145,7 @@ impl LedgerRecord {
         record.uint("schema", LEDGER_SCHEMA);
         record.str_field("cmd", cmd);
         record.uint("ts_ms", ts_ms);
-        record.str_field("git", &git_describe());
+        record.str_field("git", git_describe());
         record.str_field("os", std::env::consts::OS);
         record.str_field("arch", std::env::consts::ARCH);
         record
@@ -216,6 +249,43 @@ mod tests {
         let record = LedgerRecord::new("bench");
         assert!(!ledger.append(&record).unwrap());
         assert!(RunLedger::disabled().path().is_none());
+    }
+
+    #[test]
+    fn disabled_ledger_builds_no_record() {
+        for ledger in [RunLedger::disabled(), RunLedger::from_flag(Some("off"))] {
+            let mut built = false;
+            assert!(!ledger.record("serve", |_| built = true).unwrap());
+            assert!(!built, "a disabled ledger ran the record's fill");
+        }
+        let path = temp_ledger("record");
+        std::fs::remove_file(&path).ok();
+        let ledger = RunLedger::from_flag(Some(path.to_str().unwrap()));
+        assert!(ledger
+            .record("serve", |r| {
+                r.str_field("event", "report");
+            })
+            .unwrap());
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(text.contains(r#""cmd":"serve""#) && text.contains(r#""event":"report""#));
+    }
+
+    #[test]
+    fn git_runs_at_most_once_per_process() {
+        let stamps: Vec<&'static str> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4).map(|_| s.spawn(git_describe)).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for _ in 0..3 {
+            LedgerRecord::new("serve");
+        }
+        assert!(stamps.iter().all(|&s| s == git_describe() && !s.is_empty()));
+        assert_eq!(
+            GIT_RUNS.load(std::sync::atomic::Ordering::Relaxed),
+            1,
+            "git describe ran more than once in one process"
+        );
     }
 
     #[test]

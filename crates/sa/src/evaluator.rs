@@ -234,7 +234,7 @@ impl EvalTables {
     /// One net's weighted HPWL under `placement` — the arithmetic of
     /// [`Placement::net_hpwl`] term for term: each pin resolves to its
     /// device center minus the half-dims plus the flip-selected offset,
-    /// and the extrema fold in pin order.
+    /// and the extrema fold in pin order ([`fold_min`]/[`fold_max`]).
     #[inline]
     fn net_hpwl(&self, net: usize, placement: &Placement) -> f64 {
         let s = self.net_pin_start[net] as usize;
@@ -247,10 +247,10 @@ impl EvalTables {
             let (fx, fy) = placement.flips[d];
             let x = cx - p.halfw + if fx { p.off_flip.0 } else { p.off.0 };
             let y = cy - p.halfh + if fy { p.off_flip.1 } else { p.off.1 };
-            xmin = xmin.min(x);
-            xmax = xmax.max(x);
-            ymin = ymin.min(y);
-            ymax = ymax.max(y);
+            xmin = fold_min(x, xmin);
+            xmax = fold_max(x, xmax);
+            ymin = fold_min(y, ymin);
+            ymax = fold_max(y, ymax);
         }
         self.net_weight[net] * ((xmax - xmin) + (ymax - ymin))
     }
@@ -636,10 +636,10 @@ impl<'a> MoveEvaluator<'a> {
                 f64::NEG_INFINITY,
             );
             for (i, &(x, y)) in placement.positions.iter().enumerate() {
-                bb.0 = bb.0.min(x - tables.halfw[i]);
-                bb.1 = bb.1.min(y - tables.halfh[i]);
-                bb.2 = bb.2.max(x + tables.halfw[i]);
-                bb.3 = bb.3.max(y + tables.halfh[i]);
+                bb.0 = fold_min(x - tables.halfw[i], bb.0);
+                bb.1 = fold_min(y - tables.halfh[i], bb.1);
+                bb.2 = fold_max(x + tables.halfw[i], bb.2);
+                bb.3 = fold_max(y + tables.halfh[i], bb.3);
             }
             (bb.2 - bb.0) * (bb.3 - bb.1)
         };
@@ -673,6 +673,29 @@ impl<'a> MoveEvaluator<'a> {
             phi,
             total,
         }
+    }
+}
+
+/// `f64::min` for the extrema folds: a compare-select, without
+/// `f64::min`'s NaN handling. Pin and outline coordinates are finite sums
+/// of non-negative terms, never NaN or `-0.0`, so the result's bits equal
+/// the oracle's ([`Placement::hpwl`], [`Placement::area`]).
+#[inline]
+fn fold_min(x: f64, m: f64) -> f64 {
+    if x < m {
+        x
+    } else {
+        m
+    }
+}
+
+/// The `f64::max` counterpart of [`fold_min`].
+#[inline]
+fn fold_max(x: f64, m: f64) -> f64 {
+    if x > m {
+        x
+    } else {
+        m
     }
 }
 

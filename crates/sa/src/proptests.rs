@@ -93,32 +93,6 @@ proptest! {
         prop_assert!(placement.symmetry_violation(&circuit) < 1e-9);
     }
 
-    /// The O(n log n) Fenwick packing is bit-identical to the O(n²)
-    /// longest-path reference on arbitrary sequence pairs with arbitrary
-    /// positive dimensions.
-    #[test]
-    fn fenwick_packing_matches_reference(
-        s1 in permutation(24),
-        s2 in permutation(24),
-        dims in proptest::collection::vec((0.1..50.0f64, 0.1..50.0f64), 24),
-    ) {
-        let sp = SequencePair {
-            s1,
-            s2,
-            flips: vec![(false, false); 24],
-        };
-        let widths: Vec<f64> = dims.iter().map(|d| d.0).collect();
-        let heights: Vec<f64> = dims.iter().map(|d| d.1).collect();
-        let want = sp.pack_dims_reference(&widths, &heights);
-        let mut scratch = PackScratch::new();
-        let mut got = Vec::new();
-        sp.pack_dims_with(&widths, &heights, &mut scratch, &mut got);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g.0.to_bits(), w.0.to_bits(), "x of block {}", i);
-            prop_assert_eq!(g.1.to_bits(), w.1.to_bits(), "y of block {}", i);
-        }
-    }
-
     /// Random move/accept/reject sequences keep the incremental cost
     /// within 1e-9 of the full-recompute oracle (it is in fact
     /// bit-identical; the tolerance assertion documents the ISSUE's
@@ -160,6 +134,45 @@ proptest! {
                 engine.accept();
                 std::mem::swap(&mut state, &mut trial);
             }
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases (n <= 64), so enough of them to hit every size.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The Fenwick packing is bit-identical to the O(n²) longest-path
+    /// reference on arbitrary sequence pairs of 1-64 items, the paper
+    /// circuits' 4-24 blocks included. Half the cases use small integer
+    /// dimensions, so equal ends tie.
+    #[test]
+    fn packing_matches_reference_at_every_size(
+        n in 1usize..=64,
+        keys in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 64),
+        dims in proptest::collection::vec((0.1..50.0f64, 0.1..50.0f64), 64),
+        integer in proptest::bool::ANY,
+    ) {
+        let order = |key: fn(&(u64, u64)) -> u64| {
+            let mut seq: Vec<usize> = (0..n).collect();
+            seq.sort_by_key(|&i| key(&keys[i]));
+            seq
+        };
+        let sp = SequencePair {
+            s1: order(|k| k.0),
+            s2: order(|k| k.1),
+            flips: vec![(false, false); n],
+        };
+        let dim = |d: f64| if integer { (d / 10.0).ceil() } else { d };
+        let widths: Vec<f64> = dims[..n].iter().map(|d| dim(d.0)).collect();
+        let heights: Vec<f64> = dims[..n].iter().map(|d| dim(d.1)).collect();
+        let want = sp.pack_dims_reference(&widths, &heights);
+        let mut scratch = PackScratch::new();
+        let mut got = Vec::new();
+        sp.pack_dims_with(&widths, &heights, &mut scratch, &mut got);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g.0.to_bits(), w.0.to_bits(), "x of block {}", i);
+            prop_assert_eq!(g.1.to_bits(), w.1.to_bits(), "y of block {}", i);
         }
     }
 }

@@ -11,20 +11,12 @@
 //! ([`SequencePair::pack_dims_reference`]) and the shipping O(n log n)
 //! path ([`SequencePair::pack_dims`]) based on the classic
 //! longest-common-subsequence formulation with a Fenwick prefix-max tree
-//! (Tang/Wong's fast sequence-pair evaluation). Both reduce the same sets
-//! of `x_j + w_j` candidates through `f64::max`, which is exact and
+//! (Tang/Wong's fast sequence-pair evaluation), at every size. Both take
+//! the exact maximum of the same sets of `x_j + w_j` candidates, which is
 //! order-independent, so the two produce **bit-identical** origins — a
 //! property-tested invariant the incremental SA engine relies on.
 
 use analog_netlist::{Circuit, Placement};
-
-/// Below this size [`SequencePair::pack_dims_with`] runs a direct
-/// quadratic scan instead of the Fenwick tree: at analog block counts the
-/// tree's per-item log-factor bookkeeping costs more than the handful of
-/// pairwise comparisons it avoids. Both paths reduce the same candidate
-/// sets through `f64::max`, so the crossover is a pure speed knob — the
-/// equivalence tests cover sizes on both sides of it.
-const DIRECT_SCAN_MAX: usize = 32;
 
 /// Reusable scratch for [`SequencePair::pack_dims_with`]: the Fenwick
 /// prefix-max tree and the Γ⁻ position index.
@@ -37,13 +29,6 @@ pub struct PackScratch {
     match2: Vec<usize>,
     /// Fenwick tree over Γ⁻ positions holding prefix maxima (1-indexed).
     tree: Vec<f64>,
-    /// Direct-scan staging: Γ⁻ position per Γ⁺ slot. Kept in the scratch
-    /// (not on the stack) so small-n calls skip re-zeroing them.
-    p2: [usize; DIRECT_SCAN_MAX],
-    /// Direct-scan staging: longest-path value per Γ⁺ slot.
-    val: [f64; DIRECT_SCAN_MAX],
-    /// Direct-scan staging: item extent per Γ⁺ slot.
-    dim: [f64; DIRECT_SCAN_MAX],
 }
 
 impl PackScratch {
@@ -52,8 +37,8 @@ impl PackScratch {
         Self::default()
     }
 
-    /// Fills the Γ⁻ position index (all the direct-scan path needs).
-    fn prepare_index(&mut self, s2: &[usize]) {
+    /// Fills the Γ⁻ position index and sizes the tree.
+    fn prepare(&mut self, s2: &[usize]) {
         let n = s2.len();
         if self.match2.len() != n {
             self.match2.resize(n, 0);
@@ -61,11 +46,7 @@ impl PackScratch {
         for (pos, &d) in s2.iter().enumerate() {
             self.match2[d] = pos;
         }
-    }
-
-    fn prepare(&mut self, s2: &[usize]) {
-        self.prepare_index(s2);
-        self.tree.resize(s2.len() + 1, 0.0);
+        self.tree.resize(n + 1, 0.0);
     }
 
     /// Zeroes the tree (identity of the non-negative max reduction — the
@@ -149,9 +130,8 @@ impl SequencePair {
     }
 
     /// Allocation-free packing into a caller-owned buffer: the Fenwick
-    /// O(n log n) sweep, or a direct scan below a fixed item count
-    /// (`DIRECT_SCAN_MAX`, 32; bit-identical, just faster at analog block
-    /// counts).
+    /// O(n log n) sweep at every size (at analog block counts too, where
+    /// it beats a flat prefix-max array and the pairwise scan).
     ///
     /// `out` is cleared and refilled with each item's lower-left corner;
     /// with a warm `scratch` and an `out` of sufficient capacity the call
@@ -175,46 +155,6 @@ impl SequencePair {
         if out.len() != n {
             out.clear();
             out.resize(n, (0.0, 0.0));
-        }
-        if n <= DIRECT_SCAN_MAX {
-            // Small-n fast path: the reference scan's candidate sets and
-            // reduction order, restaged in Γ⁺-position space on fixed
-            // stack arrays so the pairwise loops run gather-free. Both
-            // sweeps assign every slot, so `out` needs no zero fill.
-            scratch.prepare_index(&self.s2);
-            let PackScratch {
-                match2,
-                p2,
-                val,
-                dim,
-                ..
-            } = scratch;
-            for (pi, &i) in self.s1.iter().enumerate() {
-                let pos = match2[i];
-                p2[pi] = pos;
-                dim[pi] = widths[i];
-                let mut best = 0.0_f64;
-                for q in 0..pi {
-                    if p2[q] < pos {
-                        best = best.max(val[q] + dim[q]);
-                    }
-                }
-                val[pi] = best;
-                out[i].0 = best;
-            }
-            for (pi, &i) in self.s1.iter().enumerate().rev() {
-                let pos = p2[pi];
-                dim[pi] = heights[i];
-                let mut best = 0.0_f64;
-                for q in pi + 1..n {
-                    if p2[q] < pos {
-                        best = best.max(val[q] + dim[q]);
-                    }
-                }
-                val[pi] = best;
-                out[i].1 = best;
-            }
-            return;
         }
         scratch.prepare(&self.s2);
         // X: i left of j iff pos1(i) < pos1(j) and pos2(i) < pos2(j).

@@ -138,8 +138,10 @@ struct Shared {
 }
 
 impl Shared {
-    fn ledger_record(&self, record: &mut LedgerRecord) {
-        let _ = self.ledger.append(record);
+    /// Logs one `serve` record; `fill` runs only when the ledger is
+    /// enabled, so `--ledger none` costs the daemon nothing per event.
+    fn log(&self, fill: impl FnOnce(&mut LedgerRecord)) {
+        let _ = self.ledger.record("serve", fill);
     }
 }
 
@@ -419,11 +421,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     }
                 }
                 out.send_line(&welcome_frame(placer_simd::selected().name()));
-                let mut rec = LedgerRecord::new("serve");
-                rec.str_field("event", "connect")
-                    .str_field("tenant", &tenant)
-                    .flag("stream", streaming);
-                shared.ledger_record(&mut rec);
+                shared.log(|rec| {
+                    rec.str_field("event", "connect")
+                        .str_field("tenant", &tenant)
+                        .flag("stream", streaming);
+                });
             }
             Request::Submit(spec) => {
                 submit_work(shared, &out, &tenant, *spec, Work::Place, &subscription);
@@ -443,10 +445,10 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Request::Shutdown => {
                 shared.queue.drain();
                 shared.queue.wait_idle();
-                let mut rec = LedgerRecord::new("serve");
-                rec.str_field("event", "shutdown")
-                    .uint("completed", shared.queue.stats().completed);
-                shared.ledger_record(&mut rec);
+                shared.log(|rec| {
+                    rec.str_field("event", "shutdown")
+                        .uint("completed", shared.queue.stats().completed);
+                });
                 out.send_line(&bare_frame("bye"));
                 // Last: once the accept loop ends, `Server::wait` returns
                 // and a `serve` process exits, taking this thread with it.
@@ -584,14 +586,14 @@ fn run_place_lease(shared: &Arc<Shared>, lease: Lease<JobCtx>) {
         shared.queue.finish(lease, true);
         return;
     }
-    let mut rec = LedgerRecord::new("serve");
-    rec.str_field("event", "report")
-        .str_field("tenant", &lease.tenant)
-        .str_field("id", &report.id)
-        .str_field("status", report.status.as_str())
-        .uint("preemptions", u64::from(lease.preemptions))
-        .num("wall_ms", report.wall_ms);
-    shared.ledger_record(&mut rec);
+    shared.log(|rec| {
+        rec.str_field("event", "report")
+            .str_field("tenant", &lease.tenant)
+            .str_field("id", &report.id)
+            .str_field("status", report.status.as_str())
+            .uint("preemptions", u64::from(lease.preemptions))
+            .num("wall_ms", report.wall_ms);
+    });
     lease.payload.out.send_line(&report.to_line());
     shared.inflight.lock().unwrap().remove(&report.id);
     shared.queue.finish(lease, false);
@@ -637,13 +639,13 @@ fn run_sweep_lease(shared: &Arc<Shared>, lease: Lease<JobCtx>) {
             (0, Some(message))
         }
     };
-    let mut rec = LedgerRecord::new("serve");
-    rec.str_field("event", "sweep_done")
-        .str_field("tenant", &lease.tenant)
-        .str_field("id", &req.id)
-        .uint("reports", reports as u64)
-        .flag("failed", error.is_some());
-    shared.ledger_record(&mut rec);
+    shared.log(|rec| {
+        rec.str_field("event", "sweep_done")
+            .str_field("tenant", &lease.tenant)
+            .str_field("id", &req.id)
+            .uint("reports", reports as u64)
+            .flag("failed", error.is_some());
+    });
     shared.inflight.lock().unwrap().remove(&lease.spec.id);
     shared.queue.finish(lease, false);
 }

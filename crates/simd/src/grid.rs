@@ -32,10 +32,16 @@ pub fn scatter_row(
 ) {
     match crate::selected() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `selected()` never exceeds `detected()`, which reports
+        // Avx512 only when the CPU has AVX-512F (and AVX2 + FMA); that is
+        // the kernel's one requirement.
         Backend::Avx512 => unsafe {
             scatter_row_avx512(row, first_bx, bin_w, x0, x1, oy, bin_area)
         },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `selected()` never exceeds `detected()`, which reports
+        // Avx2 or above only when the CPU has AVX2 and FMA; that is the
+        // kernel's one requirement.
         Backend::Avx2 => unsafe { scatter_row_avx2(row, first_bx, bin_w, x0, x1, oy, bin_area) },
         _ => scatter_row_reference(row, first_bx, bin_w, x0, x1, oy, bin_area),
     }
@@ -59,6 +65,12 @@ pub fn scatter_row_reference(
     }
 }
 
+/// AVX2 lanes of [`scatter_row`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA (dispatch checks this through
+/// [`crate::selected`]). Every load and store stays inside the slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -96,6 +108,12 @@ pub(crate) unsafe fn scatter_row_avx2(
     scatter_row_reference(&mut row[i..], first_bx + i, bin_w, x0, x1, oy, bin_area);
 }
 
+/// AVX-512 lanes of [`scatter_row`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F (dispatch checks this through
+/// [`crate::selected`]). Every load and store stays inside the slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -160,12 +178,18 @@ pub fn gather_row(
     );
     match crate::selected() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `selected()` never exceeds `detected()`, which reports
+        // Avx512 only when the CPU has AVX-512F (and AVX2 + FMA); that is
+        // the kernel's one requirement.
         Backend::Avx512 => unsafe {
             gather_row_avx512(
                 ex_row, ey_row, first_bx, bin_w, x0, x1, oy, bin_area, fx, fy,
             )
         },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `selected()` never exceeds `detected()`, which reports
+        // Avx2 or above only when the CPU has AVX2 and FMA; that is the
+        // kernel's one requirement.
         Backend::Avx2 => unsafe {
             gather_row_avx2(
                 ex_row, ey_row, first_bx, bin_w, x0, x1, oy, bin_area, fx, fy,
@@ -200,6 +224,12 @@ pub fn gather_row_reference(
     }
 }
 
+/// AVX2 lanes of [`gather_row`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA (dispatch checks this through
+/// [`crate::selected`]). Every load and store stays inside the slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -256,6 +286,12 @@ pub(crate) unsafe fn gather_row_avx2(
     );
 }
 
+/// AVX-512 lanes of [`gather_row`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F (dispatch checks this through
+/// [`crate::selected`]). Every load and store stays inside the slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]

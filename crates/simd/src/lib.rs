@@ -69,6 +69,7 @@
 //!    tolerance, and extend `tests/zero_alloc.rs` — kernels never allocate.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod exp;
 mod grid;
@@ -159,6 +160,10 @@ fn encode(b: Backend) -> u8 {
 /// set (clamped to [`detected`] with a one-time stderr warning when the
 /// host cannot honor the request), otherwise [`detected`]. [`force`]
 /// overrides both until cleared.
+///
+/// Invariant: `selected() <= detected()`. Every store to the selection
+/// goes through a clamp to [`detected`] (in `resolve` and [`force`]), and
+/// every dispatch's `unsafe` call into an AVX kernel relies on it.
 pub fn selected() -> Backend {
     if let Some(b) = decode(SELECTED.load(Ordering::Relaxed)) {
         return b;
@@ -170,6 +175,8 @@ pub fn selected() -> Backend {
     b
 }
 
+/// The environment's backend, clamped to [`detected`] (the
+/// `selected() <= detected()` invariant).
 fn resolve() -> Backend {
     let best = detected();
     match std::env::var("PLACER_SIMD") {
@@ -199,11 +206,12 @@ fn resolve() -> Backend {
 /// Forces the backend for this process (benchmarks measuring per-ISA
 /// lanes, tests pinning SIMD against scalar). `None` re-resolves from the
 /// environment on the next [`selected`] call. Requests above [`detected`]
-/// are clamped. Returns the backend now in effect (or `None` when
-/// cleared).
+/// are clamped, which keeps `selected() <= detected()`. Returns the
+/// backend now in effect (or `None` when cleared).
 pub fn force(backend: Option<Backend>) -> Option<Backend> {
     match backend {
         Some(b) => {
+            // The clamp is what makes the dispatch blocks sound.
             let eff = b.min(detected());
             SELECTED.store(encode(eff), Ordering::Relaxed);
             Some(eff)

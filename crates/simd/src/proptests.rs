@@ -67,6 +67,7 @@ mod isa {
     #[test]
     fn vector_exp_saturates_extremes_and_nails_zero() {
         if have_avx2() {
+            // SAFETY: the enclosing branch checked that the CPU has AVX2 and FMA.
             let got = unsafe { exp4([710.0, 1000.0, -746.0, 0.0]) };
             assert_eq!(got[0], f64::INFINITY);
             assert_eq!(got[1], f64::INFINITY);
@@ -74,6 +75,7 @@ mod isa {
             assert_eq!(got[3], 1.0);
         }
         if have_avx512() {
+            // SAFETY: the enclosing branch checked that the CPU has AVX-512F.
             let got = unsafe { exp8([710.0, -746.0, 0.0, 1.0, -1.0, 700.0, -700.0, 0.5]) };
             assert_eq!(got[0], f64::INFINITY);
             assert_eq!(got[1], 0.0);
@@ -91,6 +93,7 @@ mod isa {
                 for c in 0..2 {
                     let mut chunk = [0.0; 4];
                     chunk.copy_from_slice(&xs[4 * c..4 * c + 4]);
+                    // SAFETY: the enclosing branch checked that the CPU has AVX2 and FMA.
                     let got = unsafe { exp4(chunk) };
                     for k in 0..4 {
                         let w = want[4 * c + k];
@@ -104,6 +107,7 @@ mod isa {
             if have_avx512() {
                 let mut chunk = [0.0; 8];
                 chunk.copy_from_slice(&xs);
+                // SAFETY: the enclosing branch checked that the CPU has AVX-512F.
                 let got = unsafe { exp8(chunk) };
                 for k in 0..8 {
                     let w = want[k];
@@ -130,6 +134,7 @@ mod isa {
             ));
             if have_avx2() {
                 let mut got = xs.clone();
+                // SAFETY: the enclosing branch checked that the CPU has AVX2 and FMA.
                 unsafe { wa::exp_slice_avx2(&mut got) };
                 for (g, w) in got.iter().zip(&want) {
                     prop_assert!(
@@ -140,6 +145,7 @@ mod isa {
             }
             if have_avx512() {
                 let mut got = xs.clone();
+                // SAFETY: the enclosing branch checked that the CPU has AVX-512F.
                 unsafe { wa::exp_slice_avx512(&mut got) };
                 for (g, w) in got.iter().zip(&want) {
                     prop_assert!(
@@ -160,11 +166,13 @@ mod isa {
             sweep::axpy_reference(&mut want, a, &xs);
             if have_avx2() {
                 let mut got = base.clone();
+                // SAFETY: the enclosing branch checked that the CPU has AVX2 and FMA.
                 unsafe { sweep::axpy_avx2(&mut got, a, &xs) };
                 prop_assert!(bits_eq(&got, &want));
             }
             if have_avx512() {
                 let mut got = base.clone();
+                // SAFETY: the enclosing branch checked that the CPU has AVX-512F.
                 unsafe { sweep::axpy_avx512(&mut got, a, &xs) };
                 prop_assert!(bits_eq(&got, &want));
             }
@@ -185,11 +193,13 @@ mod isa {
             grid::scatter_row_reference(&mut want, first_bx, bin_w, x0, x1, oy, bin_area);
             if have_avx2() {
                 let mut got = row.clone();
+                // SAFETY: the enclosing branch checked that the CPU has AVX2 and FMA.
                 unsafe { grid::scatter_row_avx2(&mut got, first_bx, bin_w, x0, x1, oy, bin_area) };
                 prop_assert!(bits_eq(&got, &want));
             }
             if have_avx512() {
                 let mut got = row.clone();
+                // SAFETY: the enclosing branch checked that the CPU has AVX-512F.
                 unsafe { grid::scatter_row_avx512(&mut got, first_bx, bin_w, x0, x1, oy, bin_area) };
                 prop_assert!(bits_eq(&got, &want));
             }
@@ -220,6 +230,7 @@ mod isa {
             }
             if have_avx2() {
                 let (mut fx, mut fy) = (0.25, -0.5);
+                // SAFETY: the enclosing branch checked that the CPU has AVX2 and FMA.
                 unsafe {
                     grid::gather_row_avx2(
                         &ex, &ey, first_bx, bin_w, x0, x1, oy, bin_area, &mut fx, &mut fy,
@@ -230,6 +241,7 @@ mod isa {
             }
             if have_avx512() {
                 let (mut fx, mut fy) = (0.25, -0.5);
+                // SAFETY: the enclosing branch checked that the CPU has AVX-512F.
                 unsafe {
                     grid::gather_row_avx512(
                         &ex, &ey, first_bx, bin_w, x0, x1, oy, bin_area, &mut fx, &mut fy,

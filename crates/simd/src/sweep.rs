@@ -16,8 +16,14 @@ use std::arch::x86_64::*;
 pub fn axpy(acc: &mut [f64], a: f64, x: &[f64]) {
     match crate::selected() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `selected()` never exceeds `detected()`, which reports
+        // Avx512 only when the CPU has AVX-512F (and AVX2 + FMA); that is
+        // the kernel's one requirement.
         Backend::Avx512 => unsafe { axpy_avx512(acc, a, x) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `selected()` never exceeds `detected()`, which reports
+        // Avx2 or above only when the CPU has AVX2 and FMA; that is the
+        // kernel's one requirement.
         Backend::Avx2 => unsafe { axpy_avx2(acc, a, x) },
         _ => axpy_reference(acc, a, x),
     }
@@ -30,6 +36,12 @@ pub fn axpy_reference(acc: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
+/// AVX2 lanes of [`axpy`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA (dispatch checks this through
+/// [`crate::selected`]). Every load and store stays inside the slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn axpy_avx2(acc: &mut [f64], a: f64, x: &[f64]) {
@@ -47,6 +59,12 @@ pub(crate) unsafe fn axpy_avx2(acc: &mut [f64], a: f64, x: &[f64]) {
     axpy_reference(&mut acc[i..n], a, &x[i..n]);
 }
 
+/// AVX-512 lanes of [`axpy`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F (dispatch checks this through
+/// [`crate::selected`]). Every load and store stays inside the slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 pub(crate) unsafe fn axpy_avx512(acc: &mut [f64], a: f64, x: &[f64]) {

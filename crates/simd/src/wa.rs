@@ -19,8 +19,14 @@ use std::arch::x86_64::*;
 pub fn exp_slice(xs: &mut [f64]) {
     match crate::selected() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `selected()` never exceeds `detected()`, which reports
+        // Avx512 only when the CPU has AVX-512F (and AVX2 + FMA); that is
+        // the kernel's one requirement.
         Backend::Avx512 => unsafe { exp_slice_avx512(xs) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `selected()` never exceeds `detected()`, which reports
+        // Avx2 or above only when the CPU has AVX2 and FMA; that is the
+        // kernel's one requirement.
         Backend::Avx2 => unsafe { exp_slice_avx2(xs) },
         _ => exp_slice_reference(xs),
     }
@@ -33,6 +39,12 @@ pub fn exp_slice_reference(xs: &mut [f64]) {
     }
 }
 
+/// AVX2 lanes of [`exp_slice`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA (dispatch checks this through
+/// [`crate::selected`]). Every load and store stays inside the slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn exp_slice_avx2(xs: &mut [f64]) {
@@ -49,6 +61,12 @@ pub(crate) unsafe fn exp_slice_avx2(xs: &mut [f64]) {
     }
 }
 
+/// AVX-512 lanes of [`exp_slice`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F (dispatch checks this through
+/// [`crate::selected`]). Every load and store stays inside the slices.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 pub(crate) unsafe fn exp_slice_avx512(xs: &mut [f64]) {

@@ -1,11 +1,11 @@
 //! Verifies that the telemetry layer keeps the engine's zero-allocation
 //! contracts when it is *live*: with a sink installed, the SA move loop,
-//! the Nesterov iteration, the GNN CSR gradient hook and Xu19's CG
-//! objective — each wrapped in the same span / event / counter
-//! instrumentation the solvers use — never touch the heap after warm-up.
-//! ePlace's density and wirelength kernels, which allocate their returned
-//! gradient and staging arrays, allocate the same at one thread and at
-//! four: every kernel runs on its caller's thread.
+//! the Nesterov iteration, the GNN CSR gradient hook, Xu19's CG
+//! objective and ePlace's WA wirelength over reused staging — each wrapped
+//! in the same span / event / counter instrumentation the solvers use —
+//! never touch the heap after warm-up. ePlace's density kernel, which
+//! allocates its returned gradient, allocates the same at one thread and
+//! at four: every kernel runs on its caller's thread.
 //!
 //! A live [`placer_obs::progress`] sink is installed for the whole run, so
 //! the counting allocator also covers the observer tap (mapped `gp_iter`
@@ -313,7 +313,8 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
 
     // --- ePlace's density and WA kernels on VCO2, at 1 and 4 threads. ---
     // One `DensityGrid::evaluate` (scatter, Poisson solve, field, gather)
-    // and one WA `smoothed_wirelength` per step on ePlace's 32×32 grid.
+    // and one WA `smoothed_wirelength_with` per step on ePlace's 32×32
+    // grid, the WA call over staging the Nesterov loop would keep.
     let ep_circuit = testcases::vco2();
     let en = ep_circuit.num_devices();
     let eside = (ep_circuit.total_device_area() / 0.5).sqrt();
@@ -327,27 +328,32 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
         })
         .collect();
     let mut wgrad = vec![0.0f64; 2 * en];
+    let mut wl_scratch = eplace::wirelength::WirelengthScratch::new();
     let mut eplace_window = |threads: usize| {
         placer_parallel::set_max_threads(threads);
         let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let mut wa_allocs = 0;
         for _ in 0..20 {
             let _span = EP_SPAN.enter();
             let eval = density.evaluate(&ep_circuit, &epts);
-            let wl = eplace::wirelength::smoothed_wirelength(
+            let wa_before = ALLOCATIONS.load(Ordering::SeqCst);
+            let wl = eplace::wirelength::smoothed_wirelength_with(
                 &ep_circuit,
                 &epts,
                 1.0,
                 &mut wgrad,
                 eplace::Smoothing::Wa,
+                &mut wl_scratch,
             );
+            wa_allocs += ALLOCATIONS.load(Ordering::SeqCst) - wa_before;
             placer_telemetry::record("test_eplace", &[("energy", eval.energy), ("wl", wl)]);
         }
         placer_telemetry::flush();
-        ALLOCATIONS.load(Ordering::SeqCst) - before
+        (ALLOCATIONS.load(Ordering::SeqCst) - before, wa_allocs)
     };
     eplace_window(1);
-    let eplace_one = eplace_window(1);
-    let eplace_four = eplace_window(4);
+    let (eplace_one, wa_one) = eplace_window(1);
+    let (eplace_four, wa_four) = eplace_window(4);
 
     progress::job_done("zero-alloc", "complete", 1.0, Some(cost.total));
     placer_telemetry::flush_stats();
@@ -393,6 +399,12 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
         long_allocs <= short_allocs,
         "Xu19 CG allocates per iteration: {long_allocs} allocations over {long_iters} \
          iterations against {short_allocs} over {short_iters}"
+    );
+    assert_eq!(
+        wa_one + wa_four,
+        0,
+        "ePlace's WA wirelength allocated {wa_one} times over 20 steps at one thread and \
+         {wa_four} at four after warm-up"
     );
     assert_eq!(
         eplace_one, eplace_four,
