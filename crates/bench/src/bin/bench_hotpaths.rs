@@ -25,7 +25,7 @@ use analog_netlist::{testcases, Circuit, Placement};
 use eplace::wirelength::{wa_wirelength, wa_wirelength_reference};
 use eplace::DensityGrid;
 use placer_bench::cli::CommonOpts;
-use placer_bench::{spiral_positions, synthetic_circuit};
+use placer_bench::{parse_speedups, spiral_positions, synthetic_circuit};
 use placer_gnn::{
     CircuitGraph, GradScratch, InferenceScratch, Network, TrainOptions, Trainer, TrainingSample,
 };
@@ -115,32 +115,6 @@ fn parse_scalar<'a>(json: &'a str, key: &str) -> Option<&'a str> {
         }
     }
     None
-}
-
-/// Extracts `(name, speedup)` pairs from a `BENCH_hotpaths.json` body.
-fn parse_speedups(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(npos) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[npos + 9..];
-        let Some(nend) = rest.find('"') else {
-            continue;
-        };
-        let name = rest[..nend].to_string();
-        let Some(spos) = line.find("\"speedup\": ") else {
-            continue;
-        };
-        let num: String = line[spos + 11..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((name, v));
-        }
-    }
-    out
 }
 
 struct BenchRow {
@@ -254,11 +228,12 @@ fn main() {
         let side = (circuit.total_device_area() / 0.5).sqrt();
         let positions = spiral_positions(&circuit, side);
         let mut grid = DensityGrid::new((0.0, 0.0), (side, side), GRID);
+        let mut grad = vec![0.0; 2 * circuit.num_devices()];
         let after = time_median(samples, || {
-            std::hint::black_box(grid.evaluate(&circuit, &positions));
+            std::hint::black_box(grid.evaluate(&circuit, &positions, &mut grad));
         });
         let before = time_median(samples, || {
-            std::hint::black_box(grid.evaluate_reference(&circuit, &positions));
+            std::hint::black_box(grid.evaluate_reference(&circuit, &positions, &mut grad));
         });
         rows.push(BenchRow {
             name: "density_eval".to_string(),
@@ -708,6 +683,7 @@ fn main() {
         let d_side = (d_circuit.total_device_area() / 0.5).sqrt();
         let d_positions = spiral_positions(&d_circuit, d_side);
         let mut d_grid = DensityGrid::new((0.0, 0.0), (d_side, d_side), GRID);
+        let mut d_grad = vec![0.0; 2 * d_circuit.num_devices()];
 
         // Reference legs once, pinned to scalar: the "before" column is the
         // seed cost, identical for every lane of the same kernel.
@@ -721,7 +697,7 @@ fn main() {
             ));
         });
         let d_before = time_median(samples, || {
-            std::hint::black_box(d_grid.evaluate_reference(&d_circuit, &d_positions));
+            std::hint::black_box(d_grid.evaluate_reference(&d_circuit, &d_positions, &mut d_grad));
         });
 
         for isa in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
@@ -752,7 +728,7 @@ fn main() {
                 after_ms: wa_after * 1e3,
             });
             let d_after = time_median(samples, || {
-                std::hint::black_box(d_grid.evaluate(&d_circuit, &d_positions));
+                std::hint::black_box(d_grid.evaluate(&d_circuit, &d_positions, &mut d_grad));
             });
             rows.push(BenchRow {
                 name: format!("density_eval/{}", isa.name()),

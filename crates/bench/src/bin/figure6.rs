@@ -41,7 +41,6 @@ fn main() {
         let run: RunMetrics = SaPlacer::new(placer_bench::sa_perf_config(&circuit))
             .place_perf(&circuit, &model.network, weight, model.dataset.scale)
             .expect("SA failed")
-            .into_solution()
             .into();
         print_row(
             &[

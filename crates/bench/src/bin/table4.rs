@@ -5,7 +5,7 @@
 //! Paper shape: same area (same GP, both compact), ePlace-A smaller HPWL.
 
 use analog_netlist::testcases;
-use eplace::{DetailedConfig, DetailedPlacer, EPlaceA, PlacerConfig};
+use eplace::{DetailedConfig, DetailedPlacer, GlobalPlacer, PlacerConfig};
 use placer_bench::print_row;
 use placer_xu19::legalize_two_stage;
 use std::time::Instant;
@@ -27,7 +27,9 @@ fn main() {
     );
     for circuit in [testcases::vco1(), testcases::comp1(), testcases::scf()] {
         // One shared global placement.
-        let gp = EPlaceA::new(PlacerConfig::default()).global_only(&circuit);
+        let gp = GlobalPlacer::new(PlacerConfig::default().global)
+            .run(&circuit)
+            .0;
 
         let t0 = Instant::now();
         let (xu_placement, _) = legalize_two_stage(&circuit, &gp).expect("xu19 DP failed");

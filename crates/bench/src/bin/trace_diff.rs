@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use placer_bench::print_row;
+use placer_bench::{parse_speedups, print_row};
 use placer_obs::json::{field, parse_object, Json};
 
 struct Options {
@@ -120,32 +120,6 @@ fn parse_trace(path: &str, text: &str) -> Result<TraceStats, String> {
         }
     }
     Ok(stats)
-}
-
-/// Extracts `(name, speedup)` pairs from a `BENCH_hotpaths.json` body.
-fn parse_speedups(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(npos) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[npos + 9..];
-        let Some(nend) = rest.find('"') else {
-            continue;
-        };
-        let name = rest[..nend].to_string();
-        let Some(spos) = line.find("\"speedup\": ") else {
-            continue;
-        };
-        let num: String = line[spos + 11..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((name, v));
-        }
-    }
-    out
 }
 
 fn pct_delta(old: f64, new: f64) -> f64 {

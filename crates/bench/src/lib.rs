@@ -242,14 +242,11 @@ pub fn train_model(circuit: &Circuit) -> PerfModel {
         }
     }
 
-    // Recompute the pass/fail threshold over the combined distribution.
+    // Recompute the pass/fail threshold over the placer-output family. The
+    // generic dataset stores labels, not FOMs, and its FOMs sit below this
+    // family anyway; the new samples are labeled below at the new
+    // threshold.
     let mut foms: Vec<f64> = extra.iter().map(|(_, f)| *f).collect();
-    for s in &dataset.samples {
-        // The generic dataset stores labels, not FOMs; recover the decision
-        // boundary contribution by re-labeling below with the new threshold
-        // (FOMs of those samples sit below the placer-output family anyway).
-        let _ = s;
-    }
     foms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let threshold = if foms.is_empty() {
         dataset.threshold
@@ -325,7 +322,6 @@ pub fn run_sa_perf(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
     SaPlacer::new(sa_perf_config(circuit))
         .place_perf(circuit, &model.network, PERF_SA_WEIGHT, model.dataset.scale)
         .expect("SA perf placement failed")
-        .into_solution()
         .into()
 }
 
@@ -361,6 +357,42 @@ pub fn print_row(cells: &[String], widths: &[usize]) {
         .map(|(c, w)| format!("{c:>w$}", w = w))
         .collect();
     println!("{}", line.join("  "));
+}
+
+/// Extracts `(name, speedup)` pairs from a `BENCH_hotpaths.json` body: the
+/// one reader behind `bench_hotpaths --check` and `trace_diff`'s bench
+/// comparison.
+///
+/// # Examples
+///
+/// ```
+/// let json = r#"{ "name": "wa_wirelength", "speedup": 3.25, "ms": 1.0 },"#;
+/// let rows = placer_bench::parse_speedups(json);
+/// assert_eq!(rows, vec![("wa_wirelength".to_string(), 3.25)]);
+/// ```
+pub fn parse_speedups(json: &str) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    for line in json.lines() {
+        let Some(npos) = line.find("\"name\": \"") else {
+            continue;
+        };
+        let rest = &line[npos + 9..];
+        let Some(nend) = rest.find('"') else {
+            continue;
+        };
+        let name = rest[..nend].to_string();
+        let Some(spos) = line.find("\"speedup\": ") else {
+            continue;
+        };
+        let num: String = line[spos + 11..]
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+            .collect();
+        if let Ok(v) = num.parse::<f64>() {
+            out.push((name, v));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -8,6 +8,27 @@ use analog_netlist::Circuit;
 
 use crate::wirelength::wa_spread_with_grad;
 
+/// Reusable staging for [`area_term`]: the edge coordinates and their WA
+/// gradients. The buffers grow on first use and are reused afterwards, so a
+/// loop that keeps one scratch (ePlace's Nesterov loop) evaluates the area
+/// term without allocating.
+#[derive(Debug, Default)]
+pub struct AreaScratch {
+    /// Device outline edges `[x−w/2, x+w/2]` per device, same for y.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    /// `∂WA/∂edge`, aligned with `xs` and `ys`.
+    gx: Vec<f64>,
+    gy: Vec<f64>,
+}
+
+impl AreaScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Evaluates the smoothed area and accumulates its gradient (scaled by
 /// `weight`) into `grad` (`[dx…, dy…]`). Returns the smoothed area value.
 ///
@@ -20,6 +41,7 @@ pub fn area_term(
     gamma: f64,
     weight: f64,
     grad: &mut [f64],
+    scratch: &mut AreaScratch,
 ) -> f64 {
     let n = circuit.num_devices();
     assert_eq!(positions.len(), n, "positions length mismatch");
@@ -28,9 +50,9 @@ pub fn area_term(
         return 0.0;
     }
 
-    // Edge coordinate lists: [x−w/2, x+w/2] per device, same for y.
-    let mut xs = Vec::with_capacity(2 * n);
-    let mut ys = Vec::with_capacity(2 * n);
+    let AreaScratch { xs, ys, gx, gy } = scratch;
+    xs.clear();
+    ys.clear();
     for (i, d) in circuit.devices().iter().enumerate() {
         let (cx, cy) = positions[i];
         xs.push(cx - d.width / 2.0);
@@ -38,10 +60,12 @@ pub fn area_term(
         ys.push(cy - d.height / 2.0);
         ys.push(cy + d.height / 2.0);
     }
-    let mut gx = vec![0.0; 2 * n];
-    let mut gy = vec![0.0; 2 * n];
-    let wx = wa_spread_with_grad(&xs, gamma, &mut gx);
-    let wy = wa_spread_with_grad(&ys, gamma, &mut gy);
+    // `wa_spread_with_grad` overwrites every entry, so stale values from
+    // an earlier call never leak through.
+    gx.resize(2 * n, 0.0);
+    gy.resize(2 * n, 0.0);
+    let wx = wa_spread_with_grad(xs, gamma, gx);
+    let wy = wa_spread_with_grad(ys, gamma, gy);
     let area = wx * wy;
 
     // d(wx·wy)/dx_i = wy · (gx[2i] + gx[2i+1]); both edges move with x_i.
@@ -85,7 +109,14 @@ mod tests {
             .map(|i| ((i % 4) as f64 * 5.0, (i / 4) as f64 * 4.0))
             .collect();
         let mut grad = vec![0.0; 2 * n];
-        let smooth = area_term(&c, &positions, 0.05, 1.0, &mut grad);
+        let smooth = area_term(
+            &c,
+            &positions,
+            0.05,
+            1.0,
+            &mut grad,
+            &mut AreaScratch::new(),
+        );
         let exact = exact_area(&c, &positions);
         assert!(
             (smooth - exact).abs() / exact < 0.05,
@@ -102,17 +133,18 @@ mod tests {
             .collect();
         let gamma = 1.0;
         let mut grad = vec![0.0; 2 * n];
-        area_term(&c, &positions, gamma, 1.0, &mut grad);
+        let mut area = AreaScratch::new();
+        area_term(&c, &positions, gamma, 1.0, &mut grad, &mut area);
         let eps = 1e-6;
         let mut scratch = vec![0.0; 2 * n];
         for dev in [0usize, n / 2, n - 1] {
             let orig = positions[dev];
             positions[dev] = (orig.0 + eps, orig.1);
             scratch.iter_mut().for_each(|g| *g = 0.0);
-            let fp = area_term(&c, &positions, gamma, 1.0, &mut scratch);
+            let fp = area_term(&c, &positions, gamma, 1.0, &mut scratch, &mut area);
             positions[dev] = (orig.0 - eps, orig.1);
             scratch.iter_mut().for_each(|g| *g = 0.0);
-            let fm = area_term(&c, &positions, gamma, 1.0, &mut scratch);
+            let fm = area_term(&c, &positions, gamma, 1.0, &mut scratch, &mut area);
             positions[dev] = orig;
             let numeric = (fp - fm) / (2.0 * eps);
             assert!(
@@ -132,9 +164,10 @@ mod tests {
             .map(|i| ((i % 5) as f64 * 2.0, (i / 5) as f64 * 1.5))
             .collect();
         let mut g = vec![0.0; 2 * n];
-        let a_wide = area_term(&c, &wide, 1.0, 1.0, &mut g);
+        let mut area = AreaScratch::new();
+        let a_wide = area_term(&c, &wide, 1.0, 1.0, &mut g, &mut area);
         g.iter_mut().for_each(|v| *v = 0.0);
-        let a_tight = area_term(&c, &tight, 1.0, 1.0, &mut g);
+        let a_tight = area_term(&c, &tight, 1.0, 1.0, &mut g, &mut area);
         assert!(a_tight < a_wide);
     }
 }

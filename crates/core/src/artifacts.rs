@@ -678,11 +678,13 @@ mod tests {
             .collect();
         let mut a = shared;
         let mut b = fresh;
-        let ea = a.evaluate(circuit, &pts);
-        let eb = b.evaluate(circuit, &pts);
+        let n = circuit.num_devices();
+        let (mut ga, mut gb) = (vec![0.0; 2 * n], vec![0.0; 2 * n]);
+        let ea = a.evaluate(circuit, &pts, &mut ga);
+        let eb = b.evaluate(circuit, &pts, &mut gb);
         assert_eq!(ea.energy, eb.energy);
         assert_eq!(ea.overflow, eb.overflow);
-        assert_eq!(ea.grad, eb.grad);
+        assert_eq!(ga, gb);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::artifacts::CircuitArtifacts;
 use crate::axis;
 use crate::checkpoint::Checkpoint;
 use crate::error::PlaceError;
-use crate::placer::{expect_placer, PlaceOutcome, PlaceSolution};
+use crate::placer::{bad_checkpoint, expect_placer, PlaceOutcome, PlaceSolution};
 use analog_netlist::{AppliedDelta, Circuit, DeviceId, NetlistDelta, Placement};
 use placer_mathopt::SolveError;
 use std::sync::Arc;
@@ -174,15 +174,12 @@ pub fn warm_placement(
     let fx = warm.get_bools("fx")?;
     let fy = warm.get_bools("fy")?;
     if n != old.num_devices() || xs.len() != n || ys.len() != n || fx.len() != n || fy.len() != n {
-        return Err(PlaceError::BadCheckpoint(crate::CheckpointError {
-            line: 0,
-            message: format!(
-                "warm checkpoint has {} devices, circuit `{}` has {}",
-                xs.len().min(n),
-                old.name(),
-                old.num_devices()
-            ),
-        }));
+        return Err(bad_checkpoint(format!(
+            "warm checkpoint has {} devices, circuit `{}` has {}",
+            xs.len().min(n),
+            old.name(),
+            old.num_devices()
+        )));
     }
     let mut placement = Placement::new(new.num_devices());
     let mut mapped = vec![false; new.num_devices()];

@@ -10,7 +10,7 @@
 use analog_netlist::{Circuit, Placement};
 use placer_numeric::{NesterovSnapshot, NesterovState};
 
-use crate::area::area_term;
+use crate::area::{area_term, AreaScratch};
 use crate::budget::{BudgetStatus, RunBudget};
 use crate::density::DensityGrid;
 use crate::symmetry::{project_symmetry, symmetry_penalty};
@@ -68,6 +68,17 @@ pub enum GpRun {
 /// ePlace-AP plugs the GNN gradient in through this.
 pub type ExtraGradientFn<'a> = dyn FnMut(&[(f64, f64)], &mut [f64]) -> f64 + 'a;
 
+impl GpRun {
+    /// The result of a run under a fresh [`RunBudget::unlimited`], which
+    /// neither exhausts nor cancels.
+    pub(crate) fn into_complete(self) -> (Placement, GlobalStats) {
+        match self {
+            GpRun::Complete(p, s) => (p, s),
+            _ => unreachable!("a fresh unlimited budget neither exhausts nor cancels"),
+        }
+    }
+}
+
 /// The ePlace-A global placement engine.
 #[derive(Debug, Clone)]
 pub struct GlobalPlacer {
@@ -80,39 +91,28 @@ impl GlobalPlacer {
         Self { config }
     }
 
-    /// Runs global placement (conventional formulation, Eq. 3).
-    pub fn run(&self, circuit: &Circuit) -> (Placement, GlobalStats) {
-        self.run_with_extra(circuit, None)
-    }
-
-    /// Runs global placement with an optional extra gradient term (Eq. 5).
+    /// Runs global placement (conventional formulation, Eq. 3) to
+    /// completion.
     ///
     /// # Panics
     ///
     /// Panics if the circuit has no devices.
-    pub fn run_with_extra(
-        &self,
-        circuit: &Circuit,
-        extra: Option<&mut ExtraGradientFn<'_>>,
-    ) -> (Placement, GlobalStats) {
-        match self.run_budgeted(circuit, extra, None, None) {
-            GpRun::Complete(p, s) => (p, s),
-            // Unreachable without a budget, but harmless to accept.
-            GpRun::Exhausted(p, s) => (p, s),
-            GpRun::Cancelled(_) => unreachable!("no budget, cannot cancel"),
-        }
+    pub fn run(&self, circuit: &Circuit) -> (Placement, GlobalStats) {
+        self.run_budgeted(circuit, None, &RunBudget::unlimited(), None, None)
+            .into_complete()
     }
 
-    /// Runs global placement under an optional [`RunBudget`], optionally
-    /// resuming from a [`GpCheckpoint`].
+    /// Runs global placement under a [`RunBudget`], with an optional extra
+    /// gradient term (Eq. 5), optionally resuming from a [`GpCheckpoint`].
     ///
-    /// With `budget: None` this is exactly [`run_with_extra`]
-    /// (bit-identical; no budget checks are even performed). The budget is
-    /// checked once per Nesterov iteration, at the iteration boundary —
-    /// which is also the checkpoint boundary, so a cancelled run's
-    /// checkpoint resumes with no recomputed or skipped work.
+    /// The budget is checked once per Nesterov iteration, at the iteration
+    /// boundary — which is also the checkpoint boundary, so a cancelled
+    /// run's checkpoint resumes with no recomputed or skipped work.
     ///
-    /// [`run_with_extra`]: Self::run_with_extra
+    /// When `artifacts` is given, the density grid (DCT plans + Poisson
+    /// eigenvalue tables) is cloned from the circuit's cached template
+    /// instead of planned from scratch. Grid construction is
+    /// deterministic, so results are bit-identical either way.
     ///
     /// # Panics
     ///
@@ -121,23 +121,8 @@ impl GlobalPlacer {
     pub fn run_budgeted(
         &self,
         circuit: &Circuit,
-        extra: Option<&mut ExtraGradientFn<'_>>,
-        budget: Option<&RunBudget>,
-        resume: Option<&GpCheckpoint>,
-    ) -> GpRun {
-        self.run_budgeted_with(circuit, extra, budget, resume, None)
-    }
-
-    /// [`run_budgeted`](Self::run_budgeted) with optional pre-built shared
-    /// artifacts: when `artifacts` is given, the density grid (DCT plans +
-    /// Poisson eigenvalue tables) is cloned from the circuit's cached
-    /// template instead of planned from scratch. Grid construction is
-    /// deterministic, so results are bit-identical either way.
-    pub fn run_budgeted_with(
-        &self,
-        circuit: &Circuit,
         mut extra: Option<&mut ExtraGradientFn<'_>>,
-        budget: Option<&RunBudget>,
+        budget: &RunBudget,
         resume: Option<&GpCheckpoint>,
         artifacts: Option<&crate::CircuitArtifacts>,
     ) -> GpRun {
@@ -178,34 +163,41 @@ impl GlobalPlacer {
             }
         };
         clamp_positions(&mut v0);
+        // Point views of the flat iterate, kept for the whole run: `pts` is
+        // each iteration's gradient-evaluation point, `projected` the
+        // hard-symmetry projection of the stepped iterate.
+        let mut pts = vec![(0.0, 0.0); n];
+        let mut projected = vec![(0.0, 0.0); n];
         if cfg.symmetry == SymmetryMode::Hard {
-            let mut pts = to_points(&v0, n);
-            project_symmetry(circuit, &mut pts);
-            from_points(&pts, &mut v0);
+            load_points(&v0, &mut projected);
+            project_symmetry(circuit, &mut projected);
+            from_points(&projected, &mut v0);
         }
 
         // --- Weight normalization from initial gradient magnitudes. -------
         let mut gamma = cfg.gamma_bins * bin_x;
-        let pts0 = to_points(&v0, n);
+        load_points(&v0, &mut pts);
         let mut g_wl = vec![0.0; 2 * n];
         let mut wl_scratch = WirelengthScratch::new();
         smoothed_wirelength_with(
             circuit,
-            &pts0,
+            &pts,
             gamma,
             &mut g_wl,
             cfg.smoothing,
             &mut wl_scratch,
         );
-        let eval0 = density.evaluate(circuit, &pts0);
+        let mut g_density = vec![0.0; 2 * n];
+        let eval0 = density.evaluate(circuit, &pts, &mut g_density);
         let mut g_sym = vec![0.0; 2 * n];
-        symmetry_penalty(circuit, &pts0, 1.0, &mut g_sym);
+        symmetry_penalty(circuit, &pts, 1.0, &mut g_sym);
         let mut g_area = vec![0.0; 2 * n];
-        area_term(circuit, &pts0, gamma, 1.0, &mut g_area);
+        let mut area_scratch = AreaScratch::new();
+        area_term(circuit, &pts, gamma, 1.0, &mut g_area, &mut area_scratch);
         let mean_area = total_area / n as f64;
         let l1 = |g: &[f64]| g.iter().map(|v| v.abs()).sum::<f64>().max(1e-12);
         let wl_norm = l1(&g_wl);
-        let mut lambda = cfg.lambda_scale * wl_norm / l1(&eval0.grad);
+        let mut lambda = cfg.lambda_scale * wl_norm / l1(&g_density);
         let mut tau = cfg.tau_scale * wl_norm / l1(&g_sym);
         let eta = cfg.eta_scale * wl_norm / l1(&g_area);
 
@@ -240,31 +232,31 @@ impl GlobalPlacer {
                 start_iter = 0;
             }
         }
+        // Every buffer the loop touches was allocated above, so an
+        // iteration performs no heap allocation.
         let mut grad = vec![0.0; 2 * n];
         let gamma_min = 0.25 * bin_x;
         let mut exhausted = false;
         for iter in start_iter..cfg.max_iters {
-            if let Some(b) = budget {
-                match b.check() {
-                    BudgetStatus::Continue => {}
-                    BudgetStatus::Exhausted => {
-                        exhausted = true;
-                        break;
-                    }
-                    BudgetStatus::Cancelled => {
-                        return GpRun::Cancelled(Box::new(GpCheckpoint {
-                            iter,
-                            lambda,
-                            tau,
-                            gamma,
-                            overflow,
-                            nesterov: state.snapshot(),
-                        }));
-                    }
+            match budget.check() {
+                BudgetStatus::Continue => {}
+                BudgetStatus::Exhausted => {
+                    exhausted = true;
+                    break;
+                }
+                BudgetStatus::Cancelled => {
+                    return GpRun::Cancelled(Box::new(GpCheckpoint {
+                        iter,
+                        lambda,
+                        tau,
+                        gamma,
+                        overflow,
+                        nesterov: state.snapshot(),
+                    }));
                 }
             }
             iterations = iter + 1;
-            let pts = to_points(state.reference(), n);
+            load_points(state.reference(), &mut pts);
             grad.iter_mut().for_each(|g| *g = 0.0);
             smoothed_wirelength_with(
                 circuit,
@@ -274,11 +266,11 @@ impl GlobalPlacer {
                 cfg.smoothing,
                 &mut wl_scratch,
             );
-            let eval = density.evaluate(circuit, &pts);
-            placer_simd::axpy(&mut grad, lambda, &eval.grad);
+            let eval = density.evaluate(circuit, &pts, &mut g_density);
+            placer_simd::axpy(&mut grad, lambda, &g_density);
             symmetry_penalty(circuit, &pts, tau, &mut grad);
             if eta > 0.0 {
-                area_term(circuit, &pts, gamma, eta, &mut grad);
+                area_term(circuit, &pts, gamma, eta, &mut grad, &mut area_scratch);
             }
             if let Some(hook) = extra.as_deref_mut() {
                 hook(&pts, &mut grad);
@@ -294,9 +286,9 @@ impl GlobalPlacer {
             let step_len = state.step(&grad);
             clamp_positions(state.reference_mut());
             if cfg.symmetry == SymmetryMode::Hard {
-                let mut pts = to_points(state.reference(), n);
-                project_symmetry(circuit, &mut pts);
-                from_points(&pts, state.reference_mut());
+                load_points(state.reference(), &mut projected);
+                project_symmetry(circuit, &mut projected);
+                from_points(&projected, state.reference_mut());
             }
             overflow = eval.overflow;
             if overflow > cfg.overflow_target {
@@ -333,7 +325,7 @@ impl GlobalPlacer {
 
         let mut solution = state.solution().to_vec();
         clamp_positions(&mut solution);
-        let mut pts = to_points(&solution, n);
+        load_points(&solution, &mut pts);
         if cfg.symmetry == SymmetryMode::Hard {
             project_symmetry(circuit, &mut pts);
         }
@@ -366,11 +358,15 @@ impl GlobalPlacer {
     }
 }
 
-pub(crate) fn to_points(flat: &[f64], n: usize) -> Vec<(f64, f64)> {
-    (0..n).map(|i| (flat[i], flat[n + i])).collect()
+/// Loads the flat solver layout `[x…, y…]` into `points`.
+fn load_points(flat: &[f64], points: &mut [(f64, f64)]) {
+    let n = points.len();
+    for (i, p) in points.iter_mut().enumerate() {
+        *p = (flat[i], flat[n + i]);
+    }
 }
 
-pub(crate) fn from_points(points: &[(f64, f64)], flat: &mut [f64]) {
+fn from_points(points: &[(f64, f64)], flat: &mut [f64]) {
     let n = points.len();
     for (i, &(x, y)) in points.iter().enumerate() {
         flat[i] = x;
@@ -469,20 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_is_bit_identical_to_unbudgeted() {
-        let c = testcases::cc_ota();
-        let placer = GlobalPlacer::new(GlobalConfig::default());
-        let (a, sa) = placer.run(&c);
-        let budget = RunBudget::unlimited();
-        let GpRun::Complete(b, sb) = placer.run_budgeted(&c, None, Some(&budget), None) else {
-            panic!("unlimited budget must complete");
-        };
-        assert_eq!(a, b);
-        assert_eq!(sa.hpwl.to_bits(), sb.hpwl.to_bits());
-        assert_eq!(sa.iterations, sb.iterations);
-    }
-
-    #[test]
     fn cancel_then_resume_is_bit_identical() {
         let c = testcases::cc_ota();
         let placer = GlobalPlacer::new(GlobalConfig {
@@ -494,13 +476,13 @@ mod tests {
         for cancel_at in [0, 1, 7, 45] {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(cancel_at);
-            let GpRun::Cancelled(ck) = placer.run_budgeted(&c, None, Some(&budget), None) else {
+            let GpRun::Cancelled(ck) = placer.run_budgeted(&c, None, &budget, None, None) else {
                 panic!("expected cancellation at check {cancel_at}");
             };
             assert_eq!(ck.iter as u64, cancel_at);
             let resume_budget = RunBudget::unlimited();
             let GpRun::Complete(p, s) =
-                placer.run_budgeted(&c, None, Some(&resume_budget), Some(&ck))
+                placer.run_budgeted(&c, None, &resume_budget, Some(&ck), None)
             else {
                 panic!("resume must complete");
             };
@@ -523,7 +505,7 @@ mod tests {
         let final_placement = loop {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(9);
-            match placer.run_budgeted(&c, None, Some(&budget), checkpoint.as_ref()) {
+            match placer.run_budgeted(&c, None, &budget, checkpoint.as_ref(), None) {
                 GpRun::Complete(p, _) => break p,
                 GpRun::Cancelled(ck) => checkpoint = Some(*ck),
                 GpRun::Exhausted(..) => panic!("no deadline set"),
@@ -537,7 +519,7 @@ mod tests {
         let c = testcases::cc_ota();
         let placer = GlobalPlacer::new(GlobalConfig::default());
         let budget = RunBudget::steps(5);
-        let GpRun::Exhausted(p, s) = placer.run_budgeted(&c, None, Some(&budget), None) else {
+        let GpRun::Exhausted(p, s) = placer.run_budgeted(&c, None, &budget, None, None) else {
             panic!("step budget must exhaust");
         };
         assert_eq!(s.iterations, 5);
@@ -556,7 +538,7 @@ mod tests {
             max_iters: 10,
             ..GlobalConfig::default()
         });
-        let _ = placer.run_with_extra(&c, Some(&mut hook));
+        let _ = placer.run_budgeted(&c, Some(&mut hook), &RunBudget::unlimited(), None, None);
         assert!(calls >= 10);
     }
 }

@@ -59,7 +59,7 @@ pub mod sepplan;
 mod symmetry;
 pub mod wirelength;
 
-pub use area::{area_term, exact_area};
+pub use area::{area_term, exact_area, AreaScratch};
 pub use artifacts::{circuit_content_hash, ArtifactCache, CircuitArtifacts};
 pub use budget::{BudgetStatus, CancelFlag, RunBudget};
 pub use checkpoint::{Checkpoint, CheckpointError, Value as CheckpointValue};
@@ -74,6 +74,8 @@ pub use error::PlaceError;
 pub use global::{GlobalPlacer, GlobalStats, GpCheckpoint, GpRun};
 pub use perf::{run_perf_global, PerfGradHook};
 pub use pipeline::{EPlaceA, EPlaceAP};
-pub use placer::{expect_placer, PlaceOutcome, PlaceSolution, Placer, RaceProbe};
+pub use placer::{
+    bad_checkpoint, expect_devices, expect_placer, PlaceOutcome, PlaceSolution, Placer, RaceProbe,
+};
 pub use sepplan::{SepEdge, SeparationPlanner};
 pub use symmetry::{project_symmetry, symmetry_penalty};

@@ -11,7 +11,7 @@ use analog_netlist::{Circuit, Placement};
 use placer_gnn::{CircuitGraph, GradScratch, Network};
 
 use crate::global::{GlobalPlacer, GlobalStats};
-use crate::{GlobalConfig, PerfConfig};
+use crate::{GlobalConfig, PerfConfig, RunBudget};
 
 /// The reusable state of the ePlace-AP gradient hook: the circuit graph
 /// (topology fixed, position features refreshed in place each call), the
@@ -129,7 +129,10 @@ pub fn run_perf_global(
 ) -> (Placement, GlobalStats) {
     let mut state = PerfGradHook::new(circuit, network, perf.alpha, perf.scale);
     let mut hook = |pts: &[(f64, f64)], grad: &mut [f64]| -> f64 { state.eval(pts, grad) };
-    GlobalPlacer::new(global_config.clone()).run_with_extra(circuit, Some(&mut hook))
+    let placer = GlobalPlacer::new(global_config.clone());
+    let budget = RunBudget::unlimited();
+    let run = placer.run_budgeted(circuit, Some(&mut hook), &budget, None, None);
+    run.into_complete()
 }
 
 #[cfg(test)]

@@ -1,25 +1,38 @@
 //! End-to-end placement pipelines: ePlace-A and ePlace-AP.
 //!
-//! Both pipelines are reached only through the [`Placer`] trait: one
-//! engine per pipeline runs against a [`CircuitArtifacts`] bundle under a
-//! [`RunBudget`], with deadlines, cooperative cancellation and exact
-//! resume. Cold callers go through [`Placer::place`], which builds the
-//! bundle first.
+//! ePlace-AP is ePlace-A plus one term: both run one restart engine, which
+//! takes the GNN performance term α·Φ(G) (Eq. 5) as an optional argument,
+//! and both legalize with the same Eq. 4 ILP. The engine is reached only
+//! through the [`Placer`] trait: it runs against a [`CircuitArtifacts`]
+//! bundle under a [`RunBudget`], with deadlines, cooperative cancellation
+//! and exact resume. Cold callers go through [`Placer::place`], which
+//! builds the bundle first.
 
 use std::time::Instant;
 
 use analog_netlist::{Circuit, Placement};
-use placer_gnn::Network;
+use placer_gnn::{CircuitGraph, InferenceScratch, Network};
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::detailed::legalize;
+use crate::checkpoint::Checkpoint;
 use crate::global::{GlobalPlacer, GpCheckpoint, GpRun};
-use crate::placer::{expect_placer, PlaceOutcome, PlaceSolution, Placer};
-use crate::{CircuitArtifacts, PerfConfig, PerfGradHook, PlaceError, PlacerConfig, RunBudget};
+use crate::placer::{
+    bad_checkpoint, expect_devices, expect_placer, PlaceOutcome, PlaceSolution, Placer,
+};
+use crate::{
+    CircuitArtifacts, DetailedPlacer, GlobalConfig, PerfConfig, PerfGradHook, PlaceError,
+    PlacerConfig, RunBudget,
+};
 
-fn bad_checkpoint(message: String) -> PlaceError {
-    PlaceError::BadCheckpoint(CheckpointError { line: 0, message })
-}
+/// Restarts vary both the seed and the GP region utilization — the best
+/// region density is circuit-dependent.
+const UTIL_LADDER: [f64; 4] = [1.0, 1.0, 1.0, 1.5];
+
+/// ePlace-AP's restarts also sweep the GNN weight α: how hard to lean on
+/// the performance model is itself a hyperparameter worth exploring. The
+/// α = 0 attempt keeps the conventional solution in the candidate pool, so
+/// a poorly-calibrated model cannot make things worse than plain ePlace-A
+/// under the same selection score.
+const ALPHA_LADDER: [f64; 4] = [1.0, 0.5, 2.0, 0.0];
 
 /// The attempt a checkpoint was cut in, refused when it lies past this
 /// engine's `attempts` (a checkpoint cut under a profile with more
@@ -32,17 +45,6 @@ fn get_attempt(ck: &Checkpoint, attempts: usize) -> Result<usize, PlaceError> {
         )));
     }
     Ok(attempt as usize)
-}
-
-fn check_n(ck: &Checkpoint, circuit: &Circuit) -> Result<usize, PlaceError> {
-    let n = circuit.num_devices();
-    let stored = ck.get_u64("n")? as usize;
-    if stored != n {
-        return Err(bad_checkpoint(format!(
-            "checkpoint is for a {stored}-device circuit, got {n} devices"
-        )));
-    }
-    Ok(n)
 }
 
 fn put_placement(ck: &mut Checkpoint, prefix: &str, p: &Placement) {
@@ -147,20 +149,78 @@ fn get_gp(ck: &Checkpoint, n: usize) -> Result<GpCheckpoint, PlaceError> {
     })
 }
 
-/// Warm trust-region refinement shared by both pipelines' `eco_refine`:
+/// ePlace-AP's GNN term as the restart engine and the ECO refine use it:
+/// α·Φ(G) in the global-placement objective (Eq. 5), and Φ in the restart
+/// selection score.
+struct GnnTerm<'a> {
+    network: &'a Network,
+    perf: &'a PerfConfig,
+    /// Scoring graph and inference scratch, built on the first scored
+    /// placement and shared across restarts (the topology is fixed; only
+    /// the position features change).
+    scoring: Option<(CircuitGraph, InferenceScratch)>,
+}
+
+impl<'a> GnnTerm<'a> {
+    /// The zero-allocation gradient hook of α·Φ(G) on the artifacts'
+    /// topology, at relative weight `alpha`.
+    fn hook(&self, artifacts: &CircuitArtifacts, alpha: f64) -> PerfGradHook<'a> {
+        PerfGradHook::with_topology(&artifacts.topology(), self.network, alpha, self.perf.scale)
+    }
+
+    /// The factor `0.3 + Φ` a legal placement's area·HPWL is scored by, so
+    /// the restart machinery optimizes the same blend as the objective.
+    fn score_factor(&mut self, artifacts: &CircuitArtifacts, placement: &Placement) -> f64 {
+        if let Some((graph, _)) = &mut self.scoring {
+            graph.update_positions(placement);
+        }
+        let (graph, scratch) = self.scoring.get_or_insert_with(|| {
+            let positions = &placement.positions;
+            let graph =
+                CircuitGraph::from_topology(&artifacts.topology(), positions, self.perf.scale);
+            (graph, InferenceScratch::new(self.network, placement.len()))
+        });
+        0.3 + self.network.predict_with(graph, scratch)
+    }
+}
+
+/// Runs global placement at `config` on the artifacts' cached density
+/// grid, with ePlace-AP's GNN hook as the extra gradient term when there is
+/// one.
+fn run_gp(
+    config: GlobalConfig,
+    artifacts: &CircuitArtifacts,
+    hook: Option<&mut PerfGradHook<'_>>,
+    budget: &RunBudget,
+    resume: Option<&GpCheckpoint>,
+) -> GpRun {
+    let circuit = artifacts.circuit();
+    let placer = GlobalPlacer::new(config);
+    match hook {
+        Some(hook) => {
+            let mut extra = |pts: &[(f64, f64)], grad: &mut [f64]| hook.eval(pts, grad);
+            placer.run_budgeted(circuit, Some(&mut extra), budget, resume, Some(artifacts))
+        }
+        None => placer.run_budgeted(circuit, None, budget, resume, Some(artifacts)),
+    }
+}
+
+/// Warm trust-region refinement behind both placers' `eco_refine`:
 /// fabricates a [`GpCheckpoint`] whose Nesterov state sits at the warm
 /// coordinates with a fresh (tight) step budget, then resumes the global
 /// placer for the last [`EcoConfig::refine_iters`](crate::EcoConfig)
-/// iterations of its schedule. The small `max_step` cap keeps the solver
-/// from tearing up the warm layout: devices move at most a couple percent
-/// of the region per iteration, and the convergence check exits as soon
-/// as the (already near-legal) density overflow is under target.
+/// iterations of its schedule, under a fresh unlimited budget. The small
+/// `max_step` cap keeps the solver from tearing up the warm layout:
+/// devices move at most a couple percent of the region per iteration, and
+/// the convergence check exits as soon as the (already near-legal) density
+/// overflow is under target. ePlace-AP's GNN term rides along at its
+/// configured α, evaluated on the patched topology.
 fn warm_gp_refine(
     config: &PlacerConfig,
+    gnn: Option<GnnTerm<'_>>,
     artifacts: &CircuitArtifacts,
     warm: &Placement,
     eco: &crate::EcoConfig,
-    hook: Option<&mut crate::global::ExtraGradientFn<'_>>,
 ) -> (Placement, usize) {
     let cfg = &config.global;
     let circuit = artifacts.circuit();
@@ -202,23 +262,14 @@ fn warm_gp_refine(
             safeguard_trips: 0,
         },
     };
-    let run = GlobalPlacer::new(cfg.clone()).run_budgeted_with(
-        circuit,
-        hook,
-        None,
-        Some(&ck),
-        Some(artifacts),
-    );
-    match run {
-        GpRun::Complete(mut p, stats) | GpRun::Exhausted(mut p, stats) => {
-            // The GP does not model flips; keep the warm flip states so
-            // pinned devices' pins stay where the previous solution put
-            // them.
-            p.flips = warm.flips.clone();
-            (p, stats.iterations.saturating_sub(start_iter))
-        }
-        GpRun::Cancelled(_) => unreachable!("no budget, cannot cancel"),
-    }
+    let mut hook = gnn.map(|g| g.hook(artifacts, g.perf.alpha));
+    let budget = RunBudget::unlimited();
+    let run = run_gp(cfg.clone(), artifacts, hook.as_mut(), &budget, Some(&ck));
+    let (mut p, stats) = run.into_complete();
+    // The GP does not model flips; keep the warm flip states so pinned
+    // devices' pins stay where the previous solution put them.
+    p.flips = warm.flips.clone();
+    (p, stats.iterations.saturating_sub(start_iter))
 }
 
 /// Best-so-far probe shared by both pipelines' checkpoints: prefer the
@@ -285,64 +336,91 @@ impl EPlaceA {
         Self { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &PlacerConfig {
-        &self.config
-    }
-
+    /// The restart engine of both placers: ePlace-A without `gnn`,
+    /// ePlace-AP with it.
+    ///
+    /// Each attempt runs global placement at its rung of the seed and
+    /// utilization ladders (and, with `gnn`, of the α ladder), legalizes it
+    /// and keeps the attempt with the lowest score: area·HPWL, times
+    /// `0.3 + Φ` with `gnn`. Stage seconds are summed over every attempt,
+    /// resumed segments included. A cancelled attempt's checkpoint carries
+    /// the best so far and its score, the summed stage seconds and the
+    /// global placer's state (with `gnn`, also the attempt's normalized
+    /// α as `ap_alpha_abs`).
     fn run_engine(
         &self,
+        mut gnn: Option<GnnTerm<'_>>,
         artifacts: &CircuitArtifacts,
         budget: &RunBudget,
         resume: Option<&Checkpoint>,
     ) -> Result<PlaceOutcome, PlaceError> {
-        static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("eplace_a_place");
-        let _span = SPAN.enter();
+        static A_SPAN: placer_telemetry::SpanStat =
+            placer_telemetry::SpanStat::new("eplace_a_place");
+        static AP_SPAN: placer_telemetry::SpanStat =
+            placer_telemetry::SpanStat::new("eplace_ap_place");
+        let (name, _span) = match gnn {
+            Some(_) => ("eplace-ap", AP_SPAN.enter()),
+            None => ("eplace-a", A_SPAN.enter()),
+        };
         let circuit = artifacts.circuit();
         let n = circuit.num_devices();
-        let mut best: Option<PlaceSolution> = None;
-        let mut last_err: Option<PlaceError> = None;
         let attempts = self.config.restarts.max(1);
-        // Restarts vary both the seed and the GP region utilization — the
-        // best region density is circuit-dependent.
-        let util_ladder = [1.0, 1.0, 1.0, 1.5];
+        let mut best: Option<(f64, PlaceSolution)> = None;
+        let mut last_err: Option<PlaceError> = None;
+        let mut total_gp = 0.0;
+        let mut total_dp = 0.0;
         let mut start_k = 0usize;
         let mut gp_resume: Option<GpCheckpoint> = None;
+        let mut alpha_resume: Option<f64> = None;
         if let Some(ck) = resume {
-            expect_placer(ck, "eplace-a")?;
-            check_n(ck, circuit)?;
+            expect_placer(ck, name)?;
+            expect_devices(ck, circuit)?;
             start_k = get_attempt(ck, attempts)?;
             if ck.get_u64("has_best")? == 1 {
-                best = Some(get_result(ck, "best_", n)?);
+                best = Some((ck.get_f64("best_score")?, get_result(ck, "best_", n)?));
             }
+            total_gp = ck.get_f64("total_gp")?;
+            total_dp = ck.get_f64("total_dp")?;
             gp_resume = Some(get_gp(ck, n)?);
+            alpha_resume = ck.opt_f64("ap_alpha_abs")?;
         }
         for k in start_k..attempts {
             let mut global_cfg = self.config.global.clone();
             global_cfg.seed = self.config.global.seed + k as u64;
             global_cfg.utilization =
-                (global_cfg.utilization * util_ladder[k % util_ladder.len()]).min(0.8);
+                (global_cfg.utilization * UTIL_LADDER[k % UTIL_LADDER.len()]).min(0.8);
             let t0 = Instant::now();
+            // The GNN hook state is per-attempt (α re-normalizes on the
+            // attempt's first gradient call); a resumed attempt inherits
+            // the interrupted attempt's normalization from the checkpoint
+            // so its stream continues exactly.
+            let alpha_abs = alpha_resume.take();
+            let mut hook = gnn.as_ref().map(|g| {
+                let alpha = g.perf.alpha * ALPHA_LADDER[k % ALPHA_LADDER.len()];
+                let mut hook = g.hook(artifacts, alpha);
+                hook.set_alpha_abs(alpha_abs);
+                hook
+            });
             let gp_ck = gp_resume.take();
-            let run = GlobalPlacer::new(global_cfg).run_budgeted_with(
-                circuit,
-                None,
-                Some(budget),
-                gp_ck.as_ref(),
-                Some(artifacts),
-            );
-            let gp_seconds = t0.elapsed().as_secs_f64();
-            let (gp, stats, gp_exhausted) = match run {
+            let run = run_gp(global_cfg, artifacts, hook.as_mut(), budget, gp_ck.as_ref());
+            total_gp += t0.elapsed().as_secs_f64();
+            let (gp, stats, exhausted) = match run {
                 GpRun::Cancelled(gpck) => {
-                    let mut out = Checkpoint::new("eplace-a");
+                    let mut out = Checkpoint::new(name);
                     out.put_u64("n", n as u64);
                     out.put_u64("attempt", k as u64);
                     match &best {
-                        Some(b) => {
+                        Some((score, b)) => {
                             out.put_u64("has_best", 1);
+                            out.put_f64("best_score", *score);
                             put_result(&mut out, "best_", b);
                         }
                         None => out.put_u64("has_best", 0),
+                    }
+                    out.put_f64("total_gp", total_gp);
+                    out.put_f64("total_dp", total_dp);
+                    if let Some(alpha_abs) = hook.as_ref().and_then(PerfGradHook::alpha_abs) {
+                        out.put_f64("ap_alpha_abs", alpha_abs);
                     }
                     put_gp(&mut out, &gpck);
                     return Ok(PlaceOutcome::Cancelled(out));
@@ -350,73 +428,66 @@ impl EPlaceA {
                 GpRun::Complete(gp, stats) => (gp, stats, false),
                 GpRun::Exhausted(gp, stats) => (gp, stats, true),
             };
-            if gp_exhausted {
+            if exhausted {
                 // Deadline hit mid-attempt. If an earlier attempt already
                 // produced a legal best, return it without burning more
                 // time legalizing the interrupted (inferior) state;
-                // otherwise legalize the partial GP so the caller still
-                // gets a legal placement.
-                if let Some(b) = best {
-                    return Ok(PlaceOutcome::Exhausted(b));
+                // otherwise legalize the partial GP below so the caller
+                // still gets a legal placement.
+                if let Some((_, b)) = best {
+                    return Ok(PlaceOutcome::Exhausted(PlaceSolution {
+                        stage1_seconds: total_gp,
+                        stage2_seconds: total_dp,
+                        ..b
+                    }));
                 }
-                let t1 = Instant::now();
-                let dp_result = if self.config.preserve_gp {
-                    crate::DetailedPlacer::new(self.config.detailed.clone())
-                        .run_preserving(circuit, &gp)
-                } else {
-                    legalize(circuit, &gp, &self.config.detailed)
-                };
-                let (placement, dstats) = dp_result?;
-                return Ok(PlaceOutcome::Exhausted(PlaceSolution {
-                    placement,
-                    hpwl: dstats.hpwl,
-                    area: dstats.area,
-                    stage1_seconds: gp_seconds,
-                    stage2_seconds: t1.elapsed().as_secs_f64(),
-                    iterations: stats.iterations,
-                }));
             }
+            // The Eq. 4 ILP, keeping the GP's relative structure (no
+            // reassignment passes) when `preserve_gp` is set.
             let t1 = Instant::now();
-            let dp_result = if self.config.preserve_gp {
-                crate::DetailedPlacer::new(self.config.detailed.clone())
-                    .run_preserving(circuit, &gp)
+            let dp = DetailedPlacer::new(self.config.detailed.clone());
+            let dp = if self.config.preserve_gp {
+                dp.run_preserving(circuit, &gp)
             } else {
-                legalize(circuit, &gp, &self.config.detailed)
+                dp.run(circuit, &gp)
             };
-            match dp_result {
-                Ok((placement, dstats)) => {
-                    let candidate = PlaceSolution {
-                        placement,
-                        hpwl: dstats.hpwl,
-                        area: dstats.area,
-                        stage1_seconds: best.as_ref().map_or(0.0, |b| b.stage1_seconds)
-                            + gp_seconds,
-                        stage2_seconds: best.as_ref().map_or(0.0, |b| b.stage2_seconds)
-                            + t1.elapsed().as_secs_f64(),
-                        iterations: stats.iterations,
-                    };
-                    let score = |r: &PlaceSolution| r.area * r.hpwl;
-                    best = match best {
-                        Some(prev) if score(&prev) <= score(&candidate) => Some(PlaceSolution {
-                            stage1_seconds: candidate.stage1_seconds,
-                            stage2_seconds: candidate.stage2_seconds,
-                            ..prev
-                        }),
-                        _ => Some(candidate),
-                    };
+            total_dp += t1.elapsed().as_secs_f64();
+            let (placement, dstats) = match dp {
+                Ok(done) => done,
+                Err(e) if exhausted => return Err(e),
+                Err(e) => {
+                    last_err = Some(e);
+                    continue;
                 }
-                Err(e) => last_err = Some(e),
+            };
+            let candidate = PlaceSolution {
+                placement,
+                hpwl: dstats.hpwl,
+                area: dstats.area,
+                stage1_seconds: total_gp,
+                stage2_seconds: total_dp,
+                iterations: stats.iterations,
+            };
+            if exhausted {
+                return Ok(PlaceOutcome::Exhausted(candidate));
             }
+            let mut score = dstats.area * dstats.hpwl;
+            if let Some(g) = gnn.as_mut() {
+                score *= g.score_factor(artifacts, &candidate.placement);
+            }
+            best = match best {
+                Some((best_score, prev)) if best_score <= score => Some((best_score, prev)),
+                _ => Some((score, candidate)),
+            };
         }
         match best {
-            Some(result) => Ok(PlaceOutcome::Complete(result)),
+            Some((_, result)) => Ok(PlaceOutcome::Complete(PlaceSolution {
+                stage1_seconds: total_gp,
+                stage2_seconds: total_dp,
+                ..result
+            })),
             None => Err(last_err.expect("at least one attempt ran")),
         }
-    }
-
-    /// Runs only global placement (for Table IV's shared-GP comparison).
-    pub fn global_only(&self, circuit: &Circuit) -> Placement {
-        GlobalPlacer::new(self.config.global.clone()).run(circuit).0
     }
 }
 
@@ -430,7 +501,7 @@ impl Placer for EPlaceA {
         artifacts: &CircuitArtifacts,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        self.run_engine(artifacts, budget, None)
+        self.run_engine(None, artifacts, budget, None)
     }
 
     fn resume_artifacts(
@@ -439,7 +510,7 @@ impl Placer for EPlaceA {
         checkpoint: &Checkpoint,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        self.run_engine(artifacts, budget, Some(checkpoint))
+        self.run_engine(None, artifacts, budget, Some(checkpoint))
     }
 
     fn eco_refine(
@@ -451,10 +522,10 @@ impl Placer for EPlaceA {
     ) -> Result<Option<(Placement, usize)>, PlaceError> {
         Ok(Some(warm_gp_refine(
             &self.config,
+            None,
             artifacts,
             warm,
             eco,
-            None,
         )))
     }
 
@@ -465,192 +536,41 @@ impl Placer for EPlaceA {
 
 /// The ePlace-AP performance-driven placer: ePlace-A plus the GNN term.
 ///
-/// Its engine runs performance-driven global placement then the
-/// (identical) detailed placement of ePlace-A, keeping the best of
-/// `restarts` seeded attempts. The selection score multiplies area·HPWL by
-/// the model's predicted failure probability Φ of the final placement, so
-/// the restart machinery optimizes the same blend as the objective.
+/// It runs ePlace-A's restart engine with α·Φ(G) added to every attempt's
+/// global-placement objective, and legalizes with the same ILP. The
+/// selection score multiplies area·HPWL by `0.3 + Φ` of the legal
+/// placement, so the restart machinery optimizes the same blend as the
+/// objective.
 #[derive(Debug, Clone)]
 pub struct EPlaceAP {
-    config: PlacerConfig,
+    /// ePlace-A with `preserve_gp` set.
+    base: EPlaceA,
     perf: PerfConfig,
     network: Network,
 }
 
 impl EPlaceAP {
     /// Creates a performance-driven placer around a trained model.
+    ///
+    /// The placer keeps `config` with `preserve_gp` set: the GNN guidance
+    /// lives in the GP's relative ordering, which the reassignment passes
+    /// of the conventional flow would discard.
     pub fn new(config: PlacerConfig, perf: PerfConfig, network: Network) -> Self {
         Self {
-            config,
+            base: EPlaceA::new(PlacerConfig {
+                preserve_gp: true,
+                ..config
+            }),
             perf,
             network,
         }
     }
 
-    fn run_engine(
-        &self,
-        artifacts: &CircuitArtifacts,
-        budget: &RunBudget,
-        resume: Option<&Checkpoint>,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        static SPAN: placer_telemetry::SpanStat =
-            placer_telemetry::SpanStat::new("eplace_ap_place");
-        let _span = SPAN.enter();
-        let circuit = artifacts.circuit();
-        let n = circuit.num_devices();
-        let mut best: Option<(f64, PlaceSolution)> = None;
-        let mut last_err: Option<PlaceError> = None;
-        let mut total_gp = 0.0;
-        let mut total_dp = 0.0;
-        let attempts = self.config.restarts.max(1);
-        let util_ladder = [1.0, 1.0, 1.0, 1.5];
-        // Restarts also sweep the GNN weight α: how hard to lean on the
-        // performance model is itself a hyperparameter worth exploring. The
-        // α = 0 attempt keeps the conventional solution in the candidate
-        // pool, so a poorly-calibrated model cannot make things worse than
-        // plain ePlace-A under the same selection score.
-        let alpha_ladder = [1.0, 0.5, 2.0, 0.0];
-        // Scoring graph + inference scratch, shared across restarts (the
-        // topology is fixed; only the position features change).
-        let mut graph: Option<placer_gnn::CircuitGraph> = None;
-        let mut scratch = placer_gnn::InferenceScratch::new(&self.network, circuit.num_devices());
-        let mut start_k = 0usize;
-        let mut gp_resume: Option<GpCheckpoint> = None;
-        let mut alpha_resume: Option<Option<f64>> = None;
-        if let Some(ck) = resume {
-            expect_placer(ck, "eplace-ap")?;
-            check_n(ck, circuit)?;
-            start_k = get_attempt(ck, attempts)?;
-            if ck.get_u64("has_best")? == 1 {
-                best = Some((ck.get_f64("best_score")?, get_result(ck, "best_", n)?));
-            }
-            total_gp = ck.get_f64("total_gp")?;
-            total_dp = ck.get_f64("total_dp")?;
-            gp_resume = Some(get_gp(ck, n)?);
-            alpha_resume = Some(ck.opt_f64("ap_alpha_abs")?);
-        }
-        for k in start_k..attempts {
-            let mut global_cfg = self.config.global.clone();
-            global_cfg.seed = self.config.global.seed + k as u64;
-            global_cfg.utilization =
-                (global_cfg.utilization * util_ladder[k % util_ladder.len()]).min(0.8);
-            let mut perf_cfg = self.perf.clone();
-            perf_cfg.alpha *= alpha_ladder[k % alpha_ladder.len()];
-            let t0 = Instant::now();
-            // The GNN hook state is per-attempt (α re-normalizes on the
-            // attempt's first gradient call); a resumed attempt inherits
-            // the interrupted attempt's normalization from the checkpoint
-            // so its stream continues exactly.
-            let mut hook_state = PerfGradHook::with_topology(
-                &artifacts.topology(),
-                &self.network,
-                perf_cfg.alpha,
-                perf_cfg.scale,
-            );
-            if let Some(alpha_abs) = alpha_resume.take() {
-                hook_state.set_alpha_abs(alpha_abs);
-            }
-            let mut hook =
-                |pts: &[(f64, f64)], grad: &mut [f64]| -> f64 { hook_state.eval(pts, grad) };
-            let gp_ck = gp_resume.take();
-            let run = GlobalPlacer::new(global_cfg).run_budgeted_with(
-                circuit,
-                Some(&mut hook),
-                Some(budget),
-                gp_ck.as_ref(),
-                Some(artifacts),
-            );
-            total_gp += t0.elapsed().as_secs_f64();
-            let (gp, stats, gp_exhausted) = match run {
-                GpRun::Cancelled(gpck) => {
-                    let mut out = Checkpoint::new("eplace-ap");
-                    out.put_u64("n", n as u64);
-                    out.put_u64("attempt", k as u64);
-                    match &best {
-                        Some((score, b)) => {
-                            out.put_u64("has_best", 1);
-                            out.put_f64("best_score", *score);
-                            put_result(&mut out, "best_", b);
-                        }
-                        None => out.put_u64("has_best", 0),
-                    }
-                    out.put_f64("total_gp", total_gp);
-                    out.put_f64("total_dp", total_dp);
-                    if let Some(alpha_abs) = hook_state.alpha_abs() {
-                        out.put_f64("ap_alpha_abs", alpha_abs);
-                    }
-                    put_gp(&mut out, &gpck);
-                    return Ok(PlaceOutcome::Cancelled(out));
-                }
-                GpRun::Complete(gp, stats) => (gp, stats, false),
-                GpRun::Exhausted(gp, stats) => (gp, stats, true),
-            };
-            if gp_exhausted {
-                if let Some((_, mut b)) = best {
-                    b.stage1_seconds = total_gp;
-                    b.stage2_seconds = total_dp;
-                    return Ok(PlaceOutcome::Exhausted(b));
-                }
-                let t1 = Instant::now();
-                let dp = crate::DetailedPlacer::new(self.config.detailed.clone());
-                let (placement, dstats) = dp.run_preserving(circuit, &gp)?;
-                total_dp += t1.elapsed().as_secs_f64();
-                return Ok(PlaceOutcome::Exhausted(PlaceSolution {
-                    placement,
-                    hpwl: dstats.hpwl,
-                    area: dstats.area,
-                    stage1_seconds: total_gp,
-                    stage2_seconds: total_dp,
-                    iterations: stats.iterations,
-                }));
-            }
-            let t1 = Instant::now();
-            // Structure-preserving legalization: the GNN guidance lives in
-            // the GP's relative ordering, which the reassignment passes of
-            // the conventional flow would discard.
-            let dp = crate::DetailedPlacer::new(self.config.detailed.clone());
-            match dp.run_preserving(circuit, &gp) {
-                Ok((placement, dstats)) => {
-                    total_dp += t1.elapsed().as_secs_f64();
-                    let g = match graph.as_mut() {
-                        Some(g) => {
-                            g.update_positions(&placement);
-                            g
-                        }
-                        None => graph.insert(placer_gnn::CircuitGraph::from_topology(
-                            &artifacts.topology(),
-                            &placement.positions,
-                            self.perf.scale,
-                        )),
-                    };
-                    let phi = self.network.predict_with(g, &mut scratch);
-                    let score = dstats.area * dstats.hpwl * (0.3 + phi);
-                    let candidate = PlaceSolution {
-                        placement,
-                        hpwl: dstats.hpwl,
-                        area: dstats.area,
-                        stage1_seconds: total_gp,
-                        stage2_seconds: total_dp,
-                        iterations: stats.iterations,
-                    };
-                    best = match best {
-                        Some((best_score, prev)) if best_score <= score => Some((best_score, prev)),
-                        _ => Some((score, candidate)),
-                    };
-                }
-                Err(e) => {
-                    total_dp += t1.elapsed().as_secs_f64();
-                    last_err = Some(e);
-                }
-            }
-        }
-        match best {
-            Some((_, mut result)) => {
-                result.stage1_seconds = total_gp;
-                result.stage2_seconds = total_dp;
-                Ok(PlaceOutcome::Complete(result))
-            }
-            None => Err(last_err.expect("at least one attempt ran")),
+    fn gnn(&self) -> GnnTerm<'_> {
+        GnnTerm {
+            network: &self.network,
+            perf: &self.perf,
+            scoring: None,
         }
     }
 }
@@ -665,7 +585,8 @@ impl Placer for EPlaceAP {
         artifacts: &CircuitArtifacts,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        self.run_engine(artifacts, budget, None)
+        self.base
+            .run_engine(Some(self.gnn()), artifacts, budget, None)
     }
 
     fn resume_artifacts(
@@ -674,7 +595,8 @@ impl Placer for EPlaceAP {
         checkpoint: &Checkpoint,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        self.run_engine(artifacts, budget, Some(checkpoint))
+        self.base
+            .run_engine(Some(self.gnn()), artifacts, budget, Some(checkpoint))
     }
 
     fn eco_refine(
@@ -684,21 +606,12 @@ impl Placer for EPlaceAP {
         _dirty: &[bool],
         eco: &crate::EcoConfig,
     ) -> Result<Option<(Placement, usize)>, PlaceError> {
-        // The GNN term rides along through the same hook as a cold run,
-        // evaluated on the patched topology.
-        let mut hook_state = PerfGradHook::with_topology(
-            &artifacts.topology(),
-            &self.network,
-            self.perf.alpha,
-            self.perf.scale,
-        );
-        let mut hook = |pts: &[(f64, f64)], grad: &mut [f64]| -> f64 { hook_state.eval(pts, grad) };
         Ok(Some(warm_gp_refine(
-            &self.config,
+            &self.base.config,
+            Some(self.gnn()),
             artifacts,
             warm,
             eco,
-            Some(&mut hook),
         )))
     }
 
@@ -752,73 +665,57 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn eplace_a_cancel_resume_is_bit_identical() {
+    /// The encoded checkpoint of `placer` on adder, cancelled after `at`
+    /// budget checks.
+    fn cancelled(placer: &dyn Placer, at: u64) -> String {
+        let budget = RunBudget::unlimited();
+        budget.cancel_after_checks(at);
+        let outcome = Placer::place(placer, &testcases::adder(), &budget).unwrap();
+        outcome.checkpoint().expect("cancelled").encode()
+    }
+
+    /// Cancels `placer` on adder at each check in `cancel_at`, resumes
+    /// through the text codec (as the job engine does) and asserts the
+    /// uninterrupted run's bits.
+    fn cancel_resume_is_bit_identical(placer: &dyn Placer, cancel_at: &[u64]) {
         let circuit = testcases::adder();
-        let placer = EPlaceA::new(small_config());
-        let reference = complete(&placer, &circuit);
-        // Cancel inside the second attempt's GP as well as the first's.
-        for cancel_at in [3, 95] {
-            let budget = RunBudget::unlimited();
-            budget.cancel_after_checks(cancel_at);
-            let outcome = Placer::place(&placer, &circuit, &budget).unwrap();
-            let ck = outcome.checkpoint().expect("cancelled").clone();
-            // Roundtrip through the text codec like the job engine does.
-            let ck = Checkpoint::decode(&ck.encode()).unwrap();
+        let reference = complete(placer, &circuit);
+        for &at in cancel_at {
+            let ck = Checkpoint::decode(&cancelled(placer, at)).unwrap();
             let resumed = placer
                 .resume(&circuit, &ck, &RunBudget::unlimited())
                 .unwrap();
-            let sol = resumed.solution().expect("resume completes");
             assert!(resumed.is_complete());
-            assert_eq!(
-                sol.placement, reference.placement,
-                "resume after cancel at check {cancel_at} diverged"
-            );
+            let sol = resumed.solution().expect("resume completes");
+            assert_eq!(sol.placement, reference.placement, "cancel at check {at}");
             assert_eq!(sol.hpwl.to_bits(), reference.hpwl.to_bits());
         }
+    }
+
+    #[test]
+    fn eplace_a_cancel_resume_is_bit_identical() {
+        // Cancel inside the second attempt's GP as well as the first's.
+        cancel_resume_is_bit_identical(&EPlaceA::new(small_config()), &[3, 95]);
     }
 
     #[test]
     fn eplace_ap_cancel_resume_is_bit_identical() {
-        let circuit = testcases::adder();
         let network = Network::default_config(2);
         let placer = EPlaceAP::new(small_config(), PerfConfig::new(0.5, 20.0), network);
-        let reference = complete(&placer, &circuit);
-        for cancel_at in [0, 11, 90] {
-            let budget = RunBudget::unlimited();
-            budget.cancel_after_checks(cancel_at);
-            let outcome = Placer::place(&placer, &circuit, &budget).unwrap();
-            let ck = outcome.checkpoint().expect("cancelled").clone();
-            let ck = Checkpoint::decode(&ck.encode()).unwrap();
-            let resumed = placer
-                .resume(&circuit, &ck, &RunBudget::unlimited())
-                .unwrap();
-            let sol = resumed.solution().expect("resume completes");
-            assert_eq!(
-                sol.placement, reference.placement,
-                "resume after cancel at check {cancel_at} diverged"
-            );
-            assert_eq!(sol.hpwl.to_bits(), reference.hpwl.to_bits());
-        }
+        cancel_resume_is_bit_identical(&placer, &[0, 11, 90]);
     }
 
-    /// Cancels `placer` on adder at each check in `cancel_at`, moves the
-    /// checkpoint's `attempt` past the restart count and asserts that the
-    /// resume refuses it.
-    fn out_of_range_attempts_are_refused(placer: &dyn Placer, cancel_at: &[u64]) {
-        let circuit = testcases::adder();
+    /// Cancels `placer` on adder at each check in `cancel_at`, edits the
+    /// checkpoint text with `edit` and asserts that the resume refuses it.
+    fn edited_checkpoints_are_refused(
+        placer: &dyn Placer,
+        cancel_at: &[u64],
+        edit: impl Fn(&str) -> String,
+    ) {
         for &at in cancel_at {
-            let budget = RunBudget::unlimited();
-            budget.cancel_after_checks(at);
-            let outcome = Placer::place(placer, &circuit, &budget).unwrap();
-            let text = outcome.checkpoint().expect("cancelled").encode();
-            let line = text
-                .lines()
-                .find(|l| l.starts_with("u attempt "))
-                .expect("attempt field");
-            let ck = Checkpoint::decode(&text.replace(line, "u attempt 7")).unwrap();
+            let ck = Checkpoint::decode(&edit(&cancelled(placer, at))).unwrap();
             let err = placer
-                .resume(&circuit, &ck, &RunBudget::unlimited())
+                .resume(&testcases::adder(), &ck, &RunBudget::unlimited())
                 .unwrap_err();
             assert!(
                 matches!(err, PlaceError::BadCheckpoint(_)),
@@ -827,11 +724,18 @@ mod tests {
         }
     }
 
+    /// Moves a checkpoint's `attempt` past the restart count.
+    fn out_of_range_attempt(text: &str) -> String {
+        let line = text.lines().find(|l| l.starts_with("u attempt "));
+        text.replace(line.expect("attempt field"), "u attempt 7")
+    }
+
     #[test]
     fn eplace_a_resume_refuses_an_out_of_range_attempt() {
         // Check 3 is in the first attempt (no best yet), check 95 in the
         // second (a stored best).
-        out_of_range_attempts_are_refused(&EPlaceA::new(small_config()), &[3, 95]);
+        let placer = EPlaceA::new(small_config());
+        edited_checkpoints_are_refused(&placer, &[3, 95], out_of_range_attempt);
     }
 
     #[test]
@@ -839,7 +743,43 @@ mod tests {
         let network = Network::default_config(2);
         let placer = EPlaceAP::new(small_config(), PerfConfig::new(0.5, 20.0), network);
         // As for ePlace-A: one check in each attempt.
-        out_of_range_attempts_are_refused(&placer, &[11, 90]);
+        edited_checkpoints_are_refused(&placer, &[11, 90], out_of_range_attempt);
+    }
+
+    /// The field name on a line of checkpoint text (none on the header and
+    /// the `end` line).
+    fn field_name(line: &str) -> Option<&str> {
+        line.split(' ')
+            .nth(1)
+            .filter(|_| !line.starts_with("placer-"))
+    }
+
+    #[test]
+    fn eplace_a_checkpoints_eplace_aps_keys_and_refuses_older_ones() {
+        let a = EPlaceA::new(small_config());
+        let network = Network::default_config(2);
+        let ap = EPlaceAP::new(small_config(), PerfConfig::new(0.5, 20.0), network);
+        // ePlace-A's checkpoint is ePlace-AP's without `ap_alpha_abs`, in
+        // each attempt: before and after a stored best.
+        let names = |text: String| -> Vec<String> {
+            let names = text.lines().filter_map(field_name);
+            names
+                .filter(|&n| n != "ap_alpha_abs")
+                .map(String::from)
+                .collect()
+        };
+        for (a_at, ap_at) in [(3, 11), (95, 90)] {
+            assert_eq!(names(cancelled(&a, a_at)), names(cancelled(&ap, ap_at)));
+        }
+        // One cut before the two engines merged has no `best_score`,
+        // `total_gp` or `total_dp`.
+        let merged_keys = ["best_score", "total_gp", "total_dp"];
+        edited_checkpoints_are_refused(&a, &[3, 95], |text| {
+            let old = text
+                .lines()
+                .filter(|&l| !field_name(l).is_some_and(|name| merged_keys.contains(&name)));
+            old.map(|l| format!("{l}\n")).collect()
+        });
     }
 
     #[test]

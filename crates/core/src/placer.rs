@@ -293,13 +293,30 @@ pub trait Placer: Sync {
 /// implementations (including the ones in `placer-sa` / `placer-xu19`).
 pub fn expect_placer(ck: &Checkpoint, expected: &str) -> Result<(), PlaceError> {
     if ck.placer() != expected {
-        return Err(PlaceError::BadCheckpoint(crate::CheckpointError {
-            line: 0,
-            message: format!(
-                "checkpoint written by `{}`, cannot resume with `{expected}`",
-                ck.placer()
-            ),
-        }));
+        return Err(bad_checkpoint(format!(
+            "checkpoint written by `{}`, cannot resume with `{expected}`",
+            ck.placer()
+        )));
     }
     Ok(())
+}
+
+/// Reads a checkpoint's device count (`n`) and refuses the checkpoint
+/// unless it matches `circuit`; returns the count. Shared, like
+/// [`expect_placer`], by all four [`Placer`] implementations.
+pub fn expect_devices(ck: &Checkpoint, circuit: &Circuit) -> Result<usize, PlaceError> {
+    let n = circuit.num_devices();
+    let stored = ck.get_u64("n")? as usize;
+    if stored != n {
+        return Err(bad_checkpoint(format!(
+            "checkpoint is for a {stored}-device circuit, got {n} devices"
+        )));
+    }
+    Ok(n)
+}
+
+/// The [`PlaceError::BadCheckpoint`] a placer refuses a decoded but
+/// unusable checkpoint with (not tied to a line of its text).
+pub fn bad_checkpoint(message: String) -> PlaceError {
+    PlaceError::BadCheckpoint(crate::CheckpointError { line: 0, message })
 }

@@ -65,7 +65,7 @@ proptest! {
             .map(|i| ((i % 5) as f64 * scale, (i / 5) as f64 * scale))
             .collect();
         let mut g = vec![0.0; 2 * n];
-        let smooth = area_term(&c, &positions, 0.1, 1.0, &mut g);
+        let smooth = area_term(&c, &positions, 0.1, 1.0, &mut g, &mut crate::AreaScratch::new());
         let exact = crate::exact_area(&c, &positions);
         prop_assert!(smooth >= 0.0);
         prop_assert!((smooth - exact).abs() / exact < 0.25);

@@ -448,6 +448,17 @@ pub enum AnnealRun {
     Cancelled(SaCheckpoint),
 }
 
+impl AnnealRun {
+    /// The result of a run under a fresh [`RunBudget::unlimited`], which
+    /// neither exhausts nor cancels.
+    fn into_complete(self) -> AnnealResult {
+        match self {
+            AnnealRun::Complete(r) => r,
+            _ => unreachable!("a fresh unlimited budget neither exhausts nor cancels"),
+        }
+    }
+}
+
 /// How one chain segment ended (crate-internal).
 enum ChainRun {
     /// Chain finished its levels (or exhausted its budget).
@@ -463,7 +474,7 @@ type ChainFn = fn(
     &SaConfig,
     Option<PerfCost<'_>>,
     u64,
-    Option<&RunBudget>,
+    &RunBudget,
     Option<&ChainCheckpoint>,
     Option<&SaShared>,
 ) -> ChainRun;
@@ -477,36 +488,21 @@ type ChainFn = fn(
 /// [`SaConfig::chains`]); `moves` in the result counts attempts across
 /// *all* chains.
 pub fn anneal(circuit: &Circuit, config: &SaConfig, perf: Option<PerfCost<'_>>) -> AnnealResult {
-    match anneal_multi(circuit, config, perf, None, None, None, anneal_chain) {
-        AnnealRun::Complete(r) => r,
-        // Unreachable without a budget, but harmless to define.
-        AnnealRun::Exhausted(r) => r,
-        AnnealRun::Cancelled(_) => unreachable!("no budget, cannot cancel"),
-    }
+    let budget = RunBudget::unlimited();
+    anneal_multi(circuit, config, perf, &budget, None, None, anneal_chain).into_complete()
 }
 
 /// [`anneal`] under a [`RunBudget`], optionally resuming a cancelled run.
 ///
 /// The budget is checked once per temperature level per chain — the same
-/// granularity the checkpoints are cut at — never per move. With an
-/// unlimited budget and no resume this is bit-identical to [`anneal`].
+/// granularity the checkpoints are cut at — never per move.
+///
+/// With `shared` present the chains use its
+/// [`BlockModel`]/[`EvalTables`](crate::EvalTables) instead of rebuilding
+/// them — the amortized path for batched sweeps. Both are pure functions of
+/// the circuit, so the run is bit-identical either way (`shared` must have
+/// been built for this circuit).
 pub fn anneal_budgeted(
-    circuit: &Circuit,
-    config: &SaConfig,
-    perf: Option<PerfCost<'_>>,
-    budget: &RunBudget,
-    resume: Option<&SaCheckpoint>,
-) -> AnnealRun {
-    anneal_budgeted_with(circuit, config, perf, budget, resume, None)
-}
-
-/// [`anneal_budgeted`] over optional pre-built shared artifacts — the
-/// amortized path for batched sweeps. With `shared` present the chains use
-/// its [`BlockModel`]/[`EvalTables`](crate::EvalTables) instead of
-/// rebuilding them; both are pure functions of the circuit, so the run is
-/// bit-identical to [`anneal_budgeted`] (`shared` must have been built for
-/// this circuit).
-pub fn anneal_budgeted_with(
     circuit: &Circuit,
     config: &SaConfig,
     perf: Option<PerfCost<'_>>,
@@ -514,15 +510,7 @@ pub fn anneal_budgeted_with(
     resume: Option<&SaCheckpoint>,
     shared: Option<&SaShared>,
 ) -> AnnealRun {
-    anneal_multi(
-        circuit,
-        config,
-        perf,
-        Some(budget),
-        resume,
-        shared,
-        anneal_chain,
-    )
+    anneal_multi(circuit, config, perf, budget, resume, shared, anneal_chain)
 }
 
 /// Full-recompute annealer kept as the oracle for the incremental engine.
@@ -537,19 +525,9 @@ pub fn anneal_reference(
     config: &SaConfig,
     perf: Option<PerfCost<'_>>,
 ) -> AnnealResult {
-    match anneal_multi(
-        circuit,
-        config,
-        perf,
-        None,
-        None,
-        None,
-        anneal_chain_reference,
-    ) {
-        AnnealRun::Complete(r) => r,
-        AnnealRun::Exhausted(r) => r,
-        AnnealRun::Cancelled(_) => unreachable!("no budget, cannot cancel"),
-    }
+    let budget = RunBudget::unlimited();
+    let chain = anneal_chain_reference;
+    anneal_multi(circuit, config, perf, &budget, None, None, chain).into_complete()
 }
 
 /// [`anneal_reference`] under a [`RunBudget`] — the budgeted oracle.
@@ -564,23 +542,16 @@ pub fn anneal_reference_budgeted(
     budget: &RunBudget,
     resume: Option<&SaCheckpoint>,
 ) -> AnnealRun {
-    anneal_multi(
-        circuit,
-        config,
-        perf,
-        Some(budget),
-        resume,
-        None,
-        anneal_chain_reference,
-    )
+    let chain = anneal_chain_reference;
+    anneal_multi(circuit, config, perf, budget, resume, None, chain)
 }
 
-/// Multi-chain dispatch shared by the budgeted and legacy entry points.
+/// Multi-chain dispatch shared by every entry point.
 fn anneal_multi(
     circuit: &Circuit,
     config: &SaConfig,
     mut perf: Option<PerfCost<'_>>,
-    budget: Option<&RunBudget>,
+    budget: &RunBudget,
     resume: Option<&SaCheckpoint>,
     shared: Option<&SaShared>,
     chain: ChainFn,
@@ -721,7 +692,7 @@ fn anneal_chain(
     config: &SaConfig,
     mut perf: Option<PerfCost<'_>>,
     seed: u64,
-    budget: Option<&RunBudget>,
+    budget: &RunBudget,
     resume: Option<&ChainCheckpoint>,
     shared: Option<&SaShared>,
 ) -> ChainRun {
@@ -847,26 +818,24 @@ fn anneal_chain(
     for level in start_level..config.temperatures {
         // Budget granularity == checkpoint granularity: one check per
         // temperature level, at the boundary where trial == committed.
-        if let Some(b) = budget {
-            match b.check() {
-                BudgetStatus::Continue => {}
-                BudgetStatus::Exhausted => {
-                    exhausted = true;
-                    break;
-                }
-                BudgetStatus::Cancelled => {
-                    return ChainRun::Cancelled(ChainCheckpoint {
-                        level,
-                        temperature,
-                        state: trial.clone(),
-                        cost,
-                        best_state,
-                        best_cost,
-                        moves,
-                        accepts,
-                        rng: rng.state(),
-                    });
-                }
+        match budget.check() {
+            BudgetStatus::Continue => {}
+            BudgetStatus::Exhausted => {
+                exhausted = true;
+                break;
+            }
+            BudgetStatus::Cancelled => {
+                return ChainRun::Cancelled(ChainCheckpoint {
+                    level,
+                    temperature,
+                    state: trial.clone(),
+                    cost,
+                    best_state,
+                    best_cost,
+                    moves,
+                    accepts,
+                    rng: rng.state(),
+                });
             }
         }
         let level_accepts_before = accepts;
@@ -972,7 +941,7 @@ fn anneal_chain_reference(
     config: &SaConfig,
     mut perf: Option<PerfCost<'_>>,
     seed: u64,
-    budget: Option<&RunBudget>,
+    budget: &RunBudget,
     resume: Option<&ChainCheckpoint>,
     shared: Option<&SaShared>,
 ) -> ChainRun {
@@ -1071,26 +1040,24 @@ fn anneal_chain_reference(
 
     let mut exhausted = false;
     for level in start_level..config.temperatures {
-        if let Some(b) = budget {
-            match b.check() {
-                BudgetStatus::Continue => {}
-                BudgetStatus::Exhausted => {
-                    exhausted = true;
-                    break;
-                }
-                BudgetStatus::Cancelled => {
-                    return ChainRun::Cancelled(ChainCheckpoint {
-                        level,
-                        temperature,
-                        state: state.clone(),
-                        cost,
-                        best_state,
-                        best_cost,
-                        moves,
-                        accepts,
-                        rng: rng.state(),
-                    });
-                }
+        match budget.check() {
+            BudgetStatus::Continue => {}
+            BudgetStatus::Exhausted => {
+                exhausted = true;
+                break;
+            }
+            BudgetStatus::Cancelled => {
+                return ChainRun::Cancelled(ChainCheckpoint {
+                    level,
+                    temperature,
+                    state: state.clone(),
+                    cost,
+                    best_state,
+                    best_cost,
+                    moves,
+                    accepts,
+                    rng: rng.state(),
+                });
             }
         }
         for _ in 0..config.moves_per_temperature {
@@ -1299,22 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_with_unlimited_budget_matches_legacy() {
-        let c = testcases::cc_ota();
-        let cfg = quick_config();
-        let legacy = anneal(&c, &cfg, None);
-        let AnnealRun::Complete(budgeted) =
-            anneal_budgeted(&c, &cfg, None, &RunBudget::unlimited(), None)
-        else {
-            panic!("unlimited budget must complete");
-        };
-        assert_eq!(legacy.cost.total.to_bits(), budgeted.cost.total.to_bits());
-        assert_eq!(legacy.placement, budgeted.placement);
-        assert_eq!(legacy.state, budgeted.state);
-        assert_eq!(legacy.moves, budgeted.moves);
-    }
-
-    #[test]
     fn reference_engine_resumes_incremental_checkpoints() {
         // The two engines share the checkpoint format: freeze the fast
         // chain, thaw it on the oracle, and land on the same placement the
@@ -1325,7 +1276,7 @@ mod tests {
 
         let budget = RunBudget::unlimited();
         budget.cancel_after_checks(11);
-        let AnnealRun::Cancelled(ck) = anneal_budgeted(&c, &cfg, None, &budget, None) else {
+        let AnnealRun::Cancelled(ck) = anneal_budgeted(&c, &cfg, None, &budget, None, None) else {
             panic!("expected cancellation at check 11");
         };
         let AnnealRun::Complete(resumed) =
@@ -1350,7 +1301,7 @@ mod tests {
         for _ in 0..64 {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(4);
-            match anneal_budgeted(&c, &cfg, None, &budget, resume.as_ref()) {
+            match anneal_budgeted(&c, &cfg, None, &budget, resume.as_ref(), None) {
                 AnnealRun::Cancelled(ck) => resume = Some(ck),
                 AnnealRun::Complete(r) => {
                     final_result = Some(r);
@@ -1369,7 +1320,8 @@ mod tests {
     fn exhausted_budget_returns_best_so_far() {
         let c = testcases::adder();
         let cfg = quick_config();
-        let AnnealRun::Exhausted(r) = anneal_budgeted(&c, &cfg, None, &RunBudget::steps(5), None)
+        let AnnealRun::Exhausted(r) =
+            anneal_budgeted(&c, &cfg, None, &RunBudget::steps(5), None, None)
         else {
             panic!("a 5-level budget cannot finish 30 levels");
         };

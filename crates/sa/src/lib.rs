@@ -41,12 +41,12 @@ mod seqpair;
 mod shared;
 
 pub use anneal::{
-    anneal, anneal_budgeted, anneal_budgeted_with, anneal_reference, anneal_reference_budgeted,
-    evaluate, AnnealResult, AnnealRun, ChainCheckpoint, ChainEntry, PerfCost, SaCheckpoint,
-    SaConfig, SaConfigBuilder, SaCost, SaState,
+    anneal, anneal_budgeted, anneal_reference, anneal_reference_budgeted, evaluate, AnnealResult,
+    AnnealRun, ChainCheckpoint, ChainEntry, PerfCost, SaCheckpoint, SaConfig, SaConfigBuilder,
+    SaCost, SaState,
 };
 pub use evaluator::{EvalTables, EvaluatorStats, MoveEvaluator};
 pub use island::{Block, BlockModel};
-pub use pipeline::{SaPlacer, SaResult};
+pub use pipeline::SaPlacer;
 pub use seqpair::{PackScratch, SequencePair};
 pub use shared::SaShared;

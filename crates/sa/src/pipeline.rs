@@ -7,51 +7,17 @@ use std::time::Instant;
 
 use analog_netlist::{Circuit, Placement};
 use eplace::{
-    expect_placer, Checkpoint, CheckpointError, CircuitArtifacts, PlaceError, PlaceOutcome,
-    PlaceSolution, Placer, RunBudget,
+    bad_checkpoint, expect_devices, expect_placer, Checkpoint, CircuitArtifacts, PlaceError,
+    PlaceOutcome, PlaceSolution, Placer, RunBudget,
 };
 use placer_gnn::Network;
 
 use crate::anneal::{
-    anneal, anneal_budgeted_with, AnnealRun, ChainCheckpoint, ChainEntry, PerfCost, SaCheckpoint,
+    anneal, anneal_budgeted, AnnealRun, ChainCheckpoint, ChainEntry, PerfCost, SaCheckpoint,
     SaConfig, SaCost, SaState,
 };
 use crate::seqpair::SequencePair;
 use crate::shared::SaShared;
-
-/// Result of a full SA placement run.
-#[derive(Debug, Clone)]
-pub struct SaResult {
-    /// Final legal placement (after LP constraint repair).
-    pub placement: Placement,
-    /// Exact HPWL (µm).
-    pub hpwl: f64,
-    /// Bounding-box area (µm²).
-    pub area: f64,
-    /// Annealing wall time (s).
-    pub anneal_seconds: f64,
-    /// Repair wall time (s).
-    pub repair_seconds: f64,
-    /// Moves attempted by the annealer.
-    pub moves: usize,
-    /// GNN performance probability of the annealed state (perf runs only).
-    pub phi: f64,
-}
-
-impl SaResult {
-    /// Converts into the unified [`PlaceSolution`] (annealing is stage 1,
-    /// LP repair is stage 2, moves are the iteration count).
-    pub fn into_solution(self) -> PlaceSolution {
-        PlaceSolution {
-            placement: self.placement,
-            hpwl: self.hpwl,
-            area: self.area,
-            stage1_seconds: self.anneal_seconds,
-            stage2_seconds: self.repair_seconds,
-            iterations: self.moves,
-        }
-    }
-}
 
 /// The simulated-annealing analog placer baseline.
 ///
@@ -82,12 +48,14 @@ impl SaPlacer {
         Self { config }
     }
 
+    /// Repairs the annealed floorplan into the legal solution: annealing
+    /// is stage 1, LP repair stage 2, and moves are the iteration count.
     fn finish(
         &self,
         circuit: &Circuit,
         annealed: crate::anneal::AnnealResult,
         anneal_seconds: f64,
-    ) -> Result<SaResult, PlaceError> {
+    ) -> Result<PlaceSolution, PlaceError> {
         static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("sa_repair");
         let _span = SPAN.enter();
         let t1 = Instant::now();
@@ -100,17 +68,14 @@ impl SaPlacer {
         let cost = vec![1.0; circuit.num_devices()];
         let p = &annealed.placement;
         let placement = eplace::axis::repair(circuit, p, p, &cost)?;
-        let repair_seconds = t1.elapsed().as_secs_f64();
-        let hpwl = placement.hpwl(circuit);
-        let area = placement.area(circuit);
-        Ok(SaResult {
+        let stage2_seconds = t1.elapsed().as_secs_f64();
+        Ok(PlaceSolution {
+            hpwl: placement.hpwl(circuit),
+            area: placement.area(circuit),
             placement,
-            hpwl,
-            area,
-            anneal_seconds,
-            repair_seconds,
-            moves: annealed.moves,
-            phi: annealed.cost.phi,
+            stage1_seconds: anneal_seconds,
+            stage2_seconds,
+            iterations: annealed.moves,
         })
     }
 
@@ -126,7 +91,7 @@ impl SaPlacer {
         network: &Network,
         weight: f64,
         scale: f64,
-    ) -> Result<SaResult, PlaceError> {
+    ) -> Result<PlaceSolution, PlaceError> {
         let t0 = Instant::now();
         let annealed = anneal(
             circuit,
@@ -162,7 +127,7 @@ impl SaPlacer {
             None => None,
         };
         let t0 = Instant::now();
-        let run = anneal_budgeted_with(
+        let run = anneal_budgeted(
             circuit,
             &self.config,
             None,
@@ -172,17 +137,19 @@ impl SaPlacer {
         );
         let anneal_seconds = t0.elapsed().as_secs_f64();
         match run {
-            AnnealRun::Complete(annealed) => {
-                let result = self.finish(circuit, annealed, anneal_seconds)?;
-                Ok(PlaceOutcome::Complete(result.into_solution()))
-            }
-            AnnealRun::Exhausted(annealed) => {
-                // Best-so-far is still a packed floorplan; the same LP
-                // repair pass legalizes it, so Exhausted upholds the
-                // trait's "always legal" contract.
-                let result = self.finish(circuit, annealed, anneal_seconds)?;
-                Ok(PlaceOutcome::Exhausted(result.into_solution()))
-            }
+            AnnealRun::Complete(annealed) => Ok(PlaceOutcome::Complete(self.finish(
+                circuit,
+                annealed,
+                anneal_seconds,
+            )?)),
+            // Best-so-far is still a packed floorplan; the same LP repair
+            // pass legalizes it, so Exhausted upholds the trait's "always
+            // legal" contract.
+            AnnealRun::Exhausted(annealed) => Ok(PlaceOutcome::Exhausted(self.finish(
+                circuit,
+                annealed,
+                anneal_seconds,
+            )?)),
             AnnealRun::Cancelled(sack) => {
                 Ok(PlaceOutcome::Cancelled(encode_checkpoint(circuit, &sack)))
             }
@@ -266,10 +233,6 @@ fn probe_checkpoint(circuit: &Circuit, ck: &Checkpoint) -> Option<eplace::RacePr
         }
     }
     best.map(|(_, probe)| probe)
-}
-
-fn bad_checkpoint(message: String) -> PlaceError {
-    PlaceError::BadCheckpoint(CheckpointError { line: 0, message })
 }
 
 fn put_state(ck: &mut Checkpoint, prefix: &str, state: &SaState) {
@@ -395,13 +358,7 @@ fn decode_checkpoint(
     config: &SaConfig,
     blocks: usize,
 ) -> Result<SaCheckpoint, PlaceError> {
-    let n = circuit.num_devices();
-    let stored_n = ck.get_u64("n")? as usize;
-    if stored_n != n {
-        return Err(bad_checkpoint(format!(
-            "checkpoint is for a {stored_n}-device circuit, got {n} devices"
-        )));
-    }
+    let n = expect_devices(ck, circuit)?;
     let chains = ck.get_u64("chains")? as usize;
     if chains != config.chains.max(1) {
         return Err(bad_checkpoint(format!(
@@ -549,11 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn perf_flow_reports_phi() {
+    fn perf_flow_is_legal() {
         let circuit = testcases::adder();
         let network = placer_gnn::Network::default_config(5);
         let result = quick().place_perf(&circuit, &network, 30.0, 20.0).unwrap();
-        assert!(result.phi > 0.0 && result.phi < 1.0);
         assert!(result.placement.is_legal(&circuit, 1e-6));
     }
 

@@ -168,7 +168,7 @@ pub struct Xu19GlobalStats {
 ///
 /// Panics if the circuit has no devices.
 pub fn run_global(circuit: &Circuit, cfg: &Xu19GlobalConfig) -> (Placement, Xu19GlobalStats) {
-    run_global_with_extra(circuit, cfg, None)
+    run_global_budgeted(circuit, cfg, None, &RunBudget::unlimited(), None).into_complete()
 }
 
 /// Extra gradient hook type (used by the Perf* extension of Table V/VII).
@@ -204,15 +204,14 @@ pub enum Xu19Run {
     Cancelled(Box<Xu19Checkpoint>),
 }
 
-/// Runs global placement with an optional extra gradient (Perf* variant).
-pub fn run_global_with_extra(
-    circuit: &Circuit,
-    cfg: &Xu19GlobalConfig,
-    extra: Option<&mut ExtraGradientFn<'_>>,
-) -> (Placement, Xu19GlobalStats) {
-    match run_global_budgeted(circuit, cfg, extra, None, None) {
-        Xu19Run::Complete(p, s) | Xu19Run::Exhausted(p, s) => (p, s),
-        Xu19Run::Cancelled(_) => unreachable!("no budget, cannot cancel"),
+impl Xu19Run {
+    /// The result of a run under a fresh [`RunBudget::unlimited`], which
+    /// neither exhausts nor cancels.
+    pub(crate) fn into_complete(self) -> (Placement, Xu19GlobalStats) {
+        match self {
+            Xu19Run::Complete(p, s) => (p, s),
+            _ => unreachable!("a fresh unlimited budget neither exhausts nor cancels"),
+        }
     }
 }
 
@@ -292,13 +291,14 @@ impl<'c> Objective<'c> {
     }
 }
 
-/// [`run_global_with_extra`] under a [`RunBudget`], checked once per outer
-/// round (the checkpoint granularity), optionally resuming a cancelled run.
+/// [`run_global`] under a [`RunBudget`], checked once per outer round (the
+/// checkpoint granularity), with an optional extra gradient term (the
+/// Perf* variant), optionally resuming a cancelled run.
 pub fn run_global_budgeted(
     circuit: &Circuit,
     cfg: &Xu19GlobalConfig,
     mut extra: Option<&mut ExtraGradientFn<'_>>,
-    budget: Option<&RunBudget>,
+    budget: &RunBudget,
     resume: Option<&Xu19Checkpoint>,
 ) -> Xu19Run {
     static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("xu19_global");
@@ -350,22 +350,20 @@ pub fn run_global_budgeted(
     for round in start_round..cfg.rounds {
         // Budget granularity == checkpoint granularity: one check per
         // outer round, never inside the CG solve.
-        if let Some(b) = budget {
-            match b.check() {
-                BudgetStatus::Continue => {}
-                BudgetStatus::Exhausted => {
-                    exhausted = true;
-                    break;
-                }
-                BudgetStatus::Cancelled => {
-                    return Xu19Run::Cancelled(Box::new(Xu19Checkpoint {
-                        round,
-                        x,
-                        beta,
-                        iterations,
-                        overflow,
-                    }));
-                }
+        match budget.check() {
+            BudgetStatus::Continue => {}
+            BudgetStatus::Exhausted => {
+                exhausted = true;
+                break;
+            }
+            BudgetStatus::Cancelled => {
+                return Xu19Run::Cancelled(Box::new(Xu19Checkpoint {
+                    round,
+                    x,
+                    beta,
+                    iterations,
+                    overflow,
+                }));
             }
         }
         let opts = CgOptions {
@@ -456,21 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_is_bit_identical_to_unbudgeted() {
-        let c = testcases::cc_ota();
-        let cfg = Xu19GlobalConfig::default();
-        let (a, stats_a) = run_global(&c, &cfg);
-        let Xu19Run::Complete(b, stats_b) =
-            run_global_budgeted(&c, &cfg, None, Some(&RunBudget::unlimited()), None)
-        else {
-            panic!("unlimited budget must complete");
-        };
-        assert_eq!(a, b);
-        assert_eq!(stats_a.iterations, stats_b.iterations);
-        assert_eq!(stats_a.overflow.to_bits(), stats_b.overflow.to_bits());
-    }
-
-    #[test]
     fn cancel_then_resume_is_bit_identical() {
         let c = testcases::cc_ota();
         let cfg = Xu19GlobalConfig::default();
@@ -479,12 +462,11 @@ mod tests {
         for cancel_at in [0u64, 1, 3] {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(cancel_at);
-            let Xu19Run::Cancelled(ck) = run_global_budgeted(&c, &cfg, None, Some(&budget), None)
-            else {
+            let Xu19Run::Cancelled(ck) = run_global_budgeted(&c, &cfg, None, &budget, None) else {
                 panic!("expected cancellation at check {cancel_at}");
             };
             let Xu19Run::Complete(resumed, stats) =
-                run_global_budgeted(&c, &cfg, None, Some(&RunBudget::unlimited()), Some(&ck))
+                run_global_budgeted(&c, &cfg, None, &RunBudget::unlimited(), Some(&ck))
             else {
                 panic!("resume must complete");
             };
@@ -499,7 +481,7 @@ mod tests {
         let c = testcases::cc_ota();
         let cfg = Xu19GlobalConfig::default();
         let Xu19Run::Exhausted(p, stats) =
-            run_global_budgeted(&c, &cfg, None, Some(&RunBudget::steps(2)), None)
+            run_global_budgeted(&c, &cfg, None, &RunBudget::steps(2), None)
         else {
             panic!("a 2-round budget cannot finish 8 rounds");
         };

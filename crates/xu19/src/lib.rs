@@ -43,8 +43,8 @@ mod pipeline;
 
 pub use bell::{bell_kernel, BellDensity};
 pub use global::{
-    run_global, run_global_budgeted, run_global_with_extra, Xu19Checkpoint, Xu19GlobalConfig,
-    Xu19GlobalConfigBuilder, Xu19GlobalStats, Xu19Run,
+    run_global, run_global_budgeted, Xu19Checkpoint, Xu19GlobalConfig, Xu19GlobalConfigBuilder,
+    Xu19GlobalStats, Xu19Run,
 };
 pub use legalize::{legalize_two_stage, LegalizeStats};
 pub use lse::{lse_spread_with_grad, LseWirelength};

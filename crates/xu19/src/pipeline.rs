@@ -5,14 +5,12 @@ use std::time::Instant;
 
 use analog_netlist::{Circuit, Placement};
 use eplace::{
-    expect_placer, Checkpoint, CheckpointError, PlaceError, PlaceOutcome, PlaceSolution, Placer,
-    RunBudget,
+    bad_checkpoint, expect_devices, expect_placer, Checkpoint, PlaceError, PlaceOutcome,
+    PlaceSolution, Placer, RunBudget,
 };
 use placer_gnn::Network;
 
-use crate::global::{
-    run_global_budgeted, run_global_with_extra, Xu19Checkpoint, Xu19GlobalConfig, Xu19Run,
-};
+use crate::global::{run_global_budgeted, Xu19Checkpoint, Xu19GlobalConfig, Xu19Run};
 use crate::legalize::legalize_two_stage;
 
 /// The ISPD'19 analytical analog placer (our reimplementation of \[11\]).
@@ -44,11 +42,6 @@ impl Xu19Placer {
         Self { global }
     }
 
-    /// Runs only global placement (for Table IV's shared-GP comparison).
-    pub fn global_only(&self, circuit: &Circuit) -> Placement {
-        run_global_with_extra(circuit, &self.global, None).0
-    }
-
     /// Runs the "Perf*" performance-driven extension: the same GNN gradient
     /// term ePlace-AP uses, grafted onto this baseline's global placement.
     ///
@@ -66,7 +59,9 @@ impl Xu19Placer {
         // Same zero-allocation gradient hook state ePlace-AP uses.
         let mut state = eplace::PerfGradHook::new(circuit, network, alpha, scale);
         let mut hook = move |pts: &[(f64, f64)], grad: &mut [f64]| -> f64 { state.eval(pts, grad) };
-        let (gp, stats) = run_global_with_extra(circuit, &self.global, Some(&mut hook));
+        let budget = RunBudget::unlimited();
+        let run = run_global_budgeted(circuit, &self.global, Some(&mut hook), &budget, None);
+        let (gp, stats) = run.into_complete();
         self.legalize_outcome(circuit, gp, stats.iterations, t0.elapsed().as_secs_f64())
     }
 
@@ -105,7 +100,7 @@ impl Xu19Placer {
             None => None,
         };
         let t0 = Instant::now();
-        let run = run_global_budgeted(circuit, &self.global, None, Some(budget), resume.as_ref());
+        let run = run_global_budgeted(circuit, &self.global, None, budget, resume.as_ref());
         let gp_seconds = t0.elapsed().as_secs_f64();
         match run {
             Xu19Run::Complete(gp, stats) => Ok(PlaceOutcome::Complete(self.legalize_outcome(
@@ -179,15 +174,12 @@ impl Placer for Xu19Placer {
             iterations: 0,
             overflow: 1.0,
         };
-        let run = run_global_budgeted(circuit, &self.global, None, None, Some(&ck));
-        match run {
-            Xu19Run::Complete(mut p, stats) | Xu19Run::Exhausted(mut p, stats) => {
-                // The CG stage does not model flips; keep the warm states.
-                p.flips = warm.flips.clone();
-                Ok(Some((p, stats.iterations)))
-            }
-            Xu19Run::Cancelled(_) => unreachable!("no budget, cannot cancel"),
-        }
+        let budget = RunBudget::unlimited();
+        let run = run_global_budgeted(circuit, &self.global, None, &budget, Some(&ck));
+        let (mut p, stats) = run.into_complete();
+        // The CG stage does not model flips; keep the warm states.
+        p.flips = warm.flips.clone();
+        Ok(Some((p, stats.iterations)))
     }
 
     fn probe(&self, circuit: &Circuit, checkpoint: &Checkpoint) -> Option<eplace::RaceProbe> {
@@ -209,10 +201,6 @@ impl Placer for Xu19Placer {
     }
 }
 
-fn bad_checkpoint(message: String) -> PlaceError {
-    PlaceError::BadCheckpoint(CheckpointError { line: 0, message })
-}
-
 fn encode_checkpoint(circuit: &Circuit, ck: &Xu19Checkpoint) -> Checkpoint {
     let mut out = Checkpoint::new("xu19");
     out.put_u64("n", circuit.num_devices() as u64);
@@ -229,13 +217,7 @@ fn decode_checkpoint(
     circuit: &Circuit,
     cfg: &Xu19GlobalConfig,
 ) -> Result<Xu19Checkpoint, PlaceError> {
-    let n = circuit.num_devices();
-    let stored_n = ck.get_u64("n")? as usize;
-    if stored_n != n {
-        return Err(bad_checkpoint(format!(
-            "checkpoint is for a {stored_n}-device circuit, got {n} devices"
-        )));
-    }
+    let n = expect_devices(ck, circuit)?;
     let x = ck.get_f64s("x")?;
     if x.len() != 2 * n {
         return Err(bad_checkpoint(format!(

@@ -42,8 +42,9 @@ impl Fnv {
     }
 }
 
-/// A `PINNED` table row for a circuit whose two hashes moved, ready to
-/// paste over the old row.
-pub fn pinned_row(name: &str, got: [u64; 2]) -> String {
-    format!("(\"{name}\", [0x{:016x}, 0x{:016x}]),", got[0], got[1])
+/// A `PINNED` table row for a circuit whose hashes moved, ready to paste
+/// over the old row.
+pub fn pinned_row<const N: usize>(name: &str, got: [u64; N]) -> String {
+    let cells: Vec<String> = got.iter().map(|h| format!("0x{h:016x}")).collect();
+    format!("(\"{name}\", [{}]),", cells.join(", "))
 }

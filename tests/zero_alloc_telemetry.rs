@@ -1,11 +1,11 @@
 //! Verifies that the telemetry layer keeps the engine's zero-allocation
 //! contracts when it is *live*: with a sink installed, the SA move loop,
 //! the Nesterov iteration, the GNN CSR gradient hook, Xu19's CG
-//! objective and ePlace's WA wirelength over reused staging — each wrapped
-//! in the same span / event / counter instrumentation the solvers use —
-//! never touch the heap after warm-up. ePlace's density kernel, which
-//! allocates its returned gradient, allocates the same at one thread and
-//! at four: every kernel runs on its caller's thread.
+//! objective and ePlace's density and WA kernels over reused buffers —
+//! each wrapped in the same span / event / counter instrumentation the
+//! solvers use — never touch the heap after warm-up, at one thread and at
+//! four: every kernel runs on its caller's thread. Whole runs of Xu19's CG
+//! and of ePlace's Nesterov loop allocate no more over more iterations.
 //!
 //! A live [`placer_obs::progress`] sink is installed for the whole run, so
 //! the counting allocator also covers the observer tap (mapped `gp_iter`
@@ -23,6 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use analog_netlist::testcases;
+use eplace::{GlobalConfig, GlobalPlacer, SymmetryMode};
 use placer_numeric::NesterovState;
 use placer_obs::progress::{self, ProgressMode};
 use placer_sa::{BlockModel, MoveEvaluator, SaConfig, SaState, SequencePair};
@@ -314,7 +315,7 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
     // --- ePlace's density and WA kernels on VCO2, at 1 and 4 threads. ---
     // One `DensityGrid::evaluate` (scatter, Poisson solve, field, gather)
     // and one WA `smoothed_wirelength_with` per step on ePlace's 32×32
-    // grid, the WA call over staging the Nesterov loop would keep.
+    // grid, over the gradient buffer and staging the Nesterov loop keeps.
     let ep_circuit = testcases::vco2();
     let en = ep_circuit.num_devices();
     let eside = (ep_circuit.total_device_area() / 0.5).sqrt();
@@ -328,6 +329,7 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
         })
         .collect();
     let mut wgrad = vec![0.0f64; 2 * en];
+    let mut dgrad = vec![0.0f64; 2 * en];
     let mut wl_scratch = eplace::wirelength::WirelengthScratch::new();
     let mut eplace_window = |threads: usize| {
         placer_parallel::set_max_threads(threads);
@@ -335,7 +337,7 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
         let mut wa_allocs = 0;
         for _ in 0..20 {
             let _span = EP_SPAN.enter();
-            let eval = density.evaluate(&ep_circuit, &epts);
+            let eval = density.evaluate(&ep_circuit, &epts, &mut dgrad);
             let wa_before = ALLOCATIONS.load(Ordering::SeqCst);
             let wl = eplace::wirelength::smoothed_wirelength_with(
                 &ep_circuit,
@@ -354,12 +356,39 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
     eplace_window(1);
     let (eplace_one, wa_one) = eplace_window(1);
     let (eplace_four, wa_four) = eplace_window(4);
+    placer_parallel::set_max_threads(0);
+
+    // --- ePlace's whole Nesterov loop on VCO2. --------------------------
+    // With no overflow target the loop runs every iteration, so a run of
+    // 200 iterations allocating more than one of 100 would allocate per
+    // iteration. Hard symmetry adds the projection of every step.
+    let gp_run = |max_iters: usize, symmetry: SymmetryMode| {
+        let placer = GlobalPlacer::new(GlobalConfig {
+            max_iters,
+            overflow_target: 0.0,
+            symmetry,
+            ..GlobalConfig::default()
+        });
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let (_, stats) = placer.run(&ep_circuit);
+        placer_telemetry::flush();
+        (
+            ALLOCATIONS.load(Ordering::SeqCst) - before,
+            stats.iterations,
+        )
+    };
+    gp_run(100, SymmetryMode::Soft);
+    let gp_allocs = [SymmetryMode::Soft, SymmetryMode::Hard].map(|mode| {
+        let (short, short_iters) = gp_run(100, mode);
+        let (long, long_iters) = gp_run(200, mode);
+        assert_eq!((short_iters, long_iters), (100, 200), "{mode:?}");
+        (mode, short, long)
+    });
 
     progress::job_done("zero-alloc", "complete", 1.0, Some(cost.total));
     placer_telemetry::flush_stats();
     progress::uninstall();
     placer_telemetry::uninstall();
-    placer_parallel::set_max_threads(0);
 
     // The reporter drained at least the unthrottled events: the first
     // gp_iter after install and the terminal job_done line.
@@ -407,10 +436,18 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
          {wa_four} at four after warm-up"
     );
     assert_eq!(
-        eplace_one, eplace_four,
+        eplace_one + eplace_four,
+        0,
         "ePlace density + WA kernels allocated {eplace_one} times over 20 steps at one thread \
-         and {eplace_four} at four"
+         and {eplace_four} at four after warm-up"
     );
+    for (mode, short, long) in gp_allocs {
+        assert!(
+            long <= short,
+            "ePlace's Nesterov loop ({mode:?} symmetry) allocates per iteration: {long} \
+             allocations over 200 iterations against {short} over 100"
+        );
+    }
     // Sanity: the instrumentation was live, not skipped as inactive.
     assert_eq!(MOVES.value(), 532);
     assert_eq!(COSTS.count(), 732);
