@@ -17,7 +17,8 @@
 //! - a pool of [`DensityGrid`] templates keyed by region geometry (each
 //!   template owns the DCT plans and eigenvalue tables; handing out clones
 //!   is a memcpy, and a clone is bitwise-identical to a fresh build because
-//!   plan construction is deterministic),
+//!   plan construction is deterministic); an ECO-patched bundle starts
+//!   with an empty pool,
 //! - a type-keyed extension map so placer crates that `eplace` does not
 //!   depend on (the SA move evaluator's SoA tables, for example) can attach
 //!   their own shared per-circuit state.
@@ -165,8 +166,11 @@ impl CircuitArtifacts {
     /// - **GNN topology**: shared untouched for pure attribute edits,
     ///   feature-row patched ([`GraphTopology::patched_features`]) for
     ///   resizes/criticality flips, rebuilt when connectivity changed;
-    /// - **density templates**: cloned wholesale — they depend only on
-    ///   region geometry, so an unchanged region keeps its DCT plans;
+    /// - **density templates**: not carried over. A template is keyed by
+    ///   its region's extent, which any footprint change moves, so the
+    ///   parent's templates could serve only edits that resize nothing;
+    ///   the patched bundle's first global placement builds the one it
+    ///   needs, and a chain of edits accumulates no stale templates;
     /// - **extension state**: dropped (placer crates own its rebuild).
     ///
     /// Every retained structure is bit-identical to what
@@ -189,13 +193,12 @@ impl CircuitArtifacts {
         } else {
             Arc::clone(&self.topology)
         };
-        let density_templates = Mutex::new(lock(&self.density_templates).clone());
         Arc::new(Self {
             circuit: Arc::new(circuit),
             content_hash,
             device_nets,
             topology,
-            density_templates,
+            density_templates: Mutex::new(HashMap::new()),
             ext: Mutex::new(HashMap::new()),
         })
     }
@@ -685,6 +688,23 @@ mod tests {
         assert_eq!(ea.energy, eb.energy);
         assert_eq!(ea.overflow, eb.overflow);
         assert_eq!(ga, gb);
+    }
+
+    #[test]
+    fn a_chain_of_resizes_holds_only_the_templates_it_asked_for() {
+        // Each edit moves the region extent, so a template carried over
+        // from the parent could never hit: every bundle along the chain
+        // holds the one grid its own global placement asked for.
+        let mut artifacts = CircuitArtifacts::build(testcases::cc_ota());
+        for k in 0..20 {
+            let delta =
+                analog_netlist::NetlistDelta::parse(&format!("resize RB {}k\n", 10 + k)).unwrap();
+            let applied = delta.apply(artifacts.circuit()).unwrap();
+            artifacts = artifacts.patched(&applied);
+            let side = (artifacts.circuit().total_device_area() / 0.35).sqrt();
+            artifacts.density_grid((0.0, 0.0), (side, side), 32);
+            assert_eq!(lock(&artifacts.density_templates).len(), 1, "edit {k}");
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!
 //! 1. [`prepare`] applies a [`NetlistDelta`] to the circuit behind a
 //!    [`CircuitArtifacts`] bundle and **patches** the artifacts (CSR row
-//!    splice, GNN feature rewrite, density-template reuse) instead of
-//!    rebuilding them.
+//!    splice, GNN feature rewrite) instead of rebuilding them.
 //! 2. [`warm_placement`] maps the previous solution onto the edited
 //!    circuit by device name and seeds any new devices at the centroid of
 //!    their placed net neighbors.

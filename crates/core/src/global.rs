@@ -32,10 +32,11 @@ pub struct GlobalStats {
 
 /// Resumable snapshot of the global-placement loop, captured at an
 /// iteration boundary (before any of that iteration's work). Everything
-/// not stored here — region geometry, weight normalization, the η
-/// constant — is a deterministic function of circuit + config and is
-/// recomputed on resume, so restarting from a checkpoint continues the
-/// optimization bit-for-bit.
+/// not stored here — region geometry, the density grid, the η constant —
+/// is a deterministic function of circuit + config and is recomputed on
+/// resume, so restarting from a checkpoint continues the optimization
+/// bit-for-bit. λ and τ are stored, so a resume skips the density and
+/// symmetry evaluations a fresh start normalizes them from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpCheckpoint {
     /// Iteration the loop was about to execute.
@@ -175,6 +176,11 @@ impl GlobalPlacer {
         }
 
         // --- Weight normalization from initial gradient magnitudes. -------
+        // η is not checkpointed, so every run derives it from the WA and
+        // area norms at the spiral seed. λ, τ and the overflow come from
+        // the density and symmetry terms there on a fresh start only: a
+        // resume overwrites all three from its checkpoint, so it skips
+        // them (the density grid carries no state between evaluations).
         let mut gamma = cfg.gamma_bins * bin_x;
         load_points(&v0, &mut pts);
         let mut g_wl = vec![0.0; 2 * n];
@@ -188,24 +194,21 @@ impl GlobalPlacer {
             &mut wl_scratch,
         );
         let mut g_density = vec![0.0; 2 * n];
-        let eval0 = density.evaluate(circuit, &pts, &mut g_density);
-        let mut g_sym = vec![0.0; 2 * n];
-        symmetry_penalty(circuit, &pts, 1.0, &mut g_sym);
         let mut g_area = vec![0.0; 2 * n];
         let mut area_scratch = AreaScratch::new();
         area_term(circuit, &pts, gamma, 1.0, &mut g_area, &mut area_scratch);
         let mean_area = total_area / n as f64;
         let l1 = |g: &[f64]| g.iter().map(|v| v.abs()).sum::<f64>().max(1e-12);
         let wl_norm = l1(&g_wl);
-        let mut lambda = cfg.lambda_scale * wl_norm / l1(&g_density);
-        let mut tau = cfg.tau_scale * wl_norm / l1(&g_sym);
         let eta = cfg.eta_scale * wl_norm / l1(&g_area);
 
         // --- Nesterov loop. -------------------------------------------------
-        // On resume, every value above (region, grid, η, normalization
-        // inputs) was recomputed deterministically; only the loop-carried
-        // state comes from the checkpoint.
+        // On resume, every value above (region, grid, η) was recomputed
+        // deterministically; only the loop-carried state comes from the
+        // checkpoint.
         let mut state;
+        let mut lambda;
+        let mut tau;
         let mut overflow;
         let mut iterations;
         let start_iter;
@@ -225,6 +228,11 @@ impl GlobalPlacer {
                 start_iter = ck.iter;
             }
             None => {
+                let eval0 = density.evaluate(circuit, &pts, &mut g_density);
+                let mut g_sym = vec![0.0; 2 * n];
+                symmetry_penalty(circuit, &pts, 1.0, &mut g_sym);
+                lambda = cfg.lambda_scale * wl_norm / l1(&g_density);
+                tau = cfg.tau_scale * wl_norm / l1(&g_sym);
                 state = NesterovState::new(v0, bin_x * 0.25);
                 state.set_max_step(side * 0.1);
                 overflow = eval0.overflow;

@@ -78,4 +78,4 @@ pub use placer::{
     bad_checkpoint, expect_devices, expect_placer, PlaceOutcome, PlaceSolution, Placer, RaceProbe,
 };
 pub use sepplan::{SepEdge, SeparationPlanner};
-pub use symmetry::{project_symmetry, symmetry_penalty};
+pub use symmetry::{project_symmetry, symmetry_penalty, symmetry_value};

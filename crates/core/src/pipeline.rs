@@ -227,8 +227,9 @@ fn warm_gp_refine(
     let n = circuit.num_devices();
     let side = (circuit.total_device_area() / cfg.utilization).sqrt();
     let (side_x, side_y) = (side * cfg.aspect.sqrt(), side / cfg.aspect.sqrt());
-    let density = artifacts.density_grid((0.0, 0.0), (side_x, side_y), cfg.grid);
-    let (bin_x, _) = density.bin_size();
+    // The density grid's bin pitch, by the expression `DensityGrid::new`
+    // uses; the resumed GP below builds the grid itself.
+    let bin_x = side_x / cfg.grid as f64;
     let mut u = vec![0.0; 2 * n];
     for (i, d) in circuit.devices().iter().enumerate() {
         let hw = (d.width / 2.0).min(side_x / 2.0);
@@ -291,16 +292,7 @@ fn probe_engine_checkpoint(
             area: ck.get_f64("best_area").ok()?,
         });
     }
-    let n = circuit.num_devices();
-    let u = ck.get_f64s("gp_u").ok()?;
-    if u.len() != 2 * n {
-        return None;
-    }
-    let pts: Vec<(f64, f64)> = (0..n).map(|i| (u[i], u[n + i])).collect();
-    Some(crate::RaceProbe {
-        hpwl: crate::wirelength::exact_hpwl(circuit, &pts),
-        area: crate::exact_area(circuit, &pts),
-    })
+    crate::RaceProbe::of_iterate(circuit, ck.get_f64s("gp_u").ok()?)
 }
 
 /// The ePlace-A analog placer (conventional, performance-oblivious).

@@ -35,6 +35,21 @@ pub struct RaceProbe {
 }
 
 impl RaceProbe {
+    /// Scores a flat solver iterate `[x…, y…]` of device centers with the
+    /// exact HPWL and area; `None` when it is sized for another circuit.
+    /// The analytical placers' probes score their frozen iterate with it.
+    pub fn of_iterate(circuit: &Circuit, flat: &[f64]) -> Option<Self> {
+        let n = circuit.num_devices();
+        if flat.len() != 2 * n {
+            return None;
+        }
+        let pts: Vec<(f64, f64)> = (0..n).map(|i| (flat[i], flat[n + i])).collect();
+        Some(Self {
+            hpwl: crate::wirelength::exact_hpwl(circuit, &pts),
+            area: crate::exact_area(circuit, &pts),
+        })
+    }
+
     /// The scalar figure of merit the tournament compares: `hpwl × area`
     /// (the same product the restart ladders in this workspace rank by).
     pub fn fom(&self) -> f64 {

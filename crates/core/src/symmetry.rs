@@ -48,9 +48,33 @@ pub fn symmetry_penalty(
     weight: f64,
     grad: &mut [f64],
 ) -> f64 {
+    assert_eq!(
+        grad.len(),
+        2 * circuit.num_devices(),
+        "gradient length mismatch"
+    );
+    penalty_terms(circuit, positions, Some((weight, grad)))
+}
+
+/// The value of `Sym(v)` alone: [`symmetry_penalty`]'s return value, bit
+/// for bit, without the gradient.
+///
+/// # Panics
+///
+/// Panics if `positions` is sized for another circuit.
+pub fn symmetry_value(circuit: &Circuit, positions: &[(f64, f64)]) -> f64 {
+    penalty_terms(circuit, positions, None)
+}
+
+/// Sums `Sym(v)` and, given `(weight, grad)`, accumulates its weighted
+/// gradient.
+fn penalty_terms(
+    circuit: &Circuit,
+    positions: &[(f64, f64)],
+    mut grad: Option<(f64, &mut [f64])>,
+) -> f64 {
     let n = circuit.num_devices();
     assert_eq!(positions.len(), n, "positions length mismatch");
-    assert_eq!(grad.len(), 2 * n, "gradient length mismatch");
     let mut value = 0.0;
     for g in &circuit.constraints().symmetry_groups {
         if g.is_empty() {
@@ -76,16 +100,20 @@ pub fn symmetry_penalty(
             let dy = oc(i) - oc(j);
             let dx = ac(i) + ac(j) - 2.0 * axis;
             value += dy * dy + dx * dx;
-            grad[o_off + i] += weight * 2.0 * dy;
-            grad[o_off + j] -= weight * 2.0 * dy;
-            grad[a_off + i] += weight * 2.0 * dx;
-            grad[a_off + j] += weight * 2.0 * dx;
+            if let Some((weight, grad)) = grad.as_mut() {
+                grad[o_off + i] += *weight * 2.0 * dy;
+                grad[o_off + j] -= *weight * 2.0 * dy;
+                grad[a_off + i] += *weight * 2.0 * dx;
+                grad[a_off + j] += *weight * 2.0 * dx;
+            }
         }
         for &s in &g.self_symmetric {
             let i = s.index();
             let d = ac(i) - axis;
             value += d * d;
-            grad[a_off + i] += weight * 2.0 * d;
+            if let Some((weight, grad)) = grad.as_mut() {
+                grad[a_off + i] += *weight * 2.0 * d;
+            }
         }
     }
     value
@@ -182,6 +210,22 @@ mod tests {
                 grad[dev]
             );
         }
+    }
+
+    #[test]
+    fn value_alone_matches_the_penalty() {
+        let c = testcases::comp1();
+        let n = c.num_devices();
+        let positions: Vec<(f64, f64)> = (0..n)
+            .map(|i| ((i as f64 * 1.3) % 7.0, (i as f64 * 2.1) % 5.0))
+            .collect();
+        let mut grad = vec![0.0; 2 * n];
+        let with_gradient = symmetry_penalty(&c, &positions, 0.7, &mut grad);
+        assert!(with_gradient > 0.0);
+        assert_eq!(
+            symmetry_value(&c, &positions).to_bits(),
+            with_gradient.to_bits()
+        );
     }
 
     #[test]

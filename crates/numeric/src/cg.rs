@@ -42,10 +42,31 @@ pub struct CgResult {
     pub x: Vec<f64>,
     /// Objective value at the final iterate.
     pub value: f64,
-    /// Number of iterations performed.
+    /// Number of iterations performed: the accepted line-search steps.
     pub iterations: usize,
+    /// Calls of [`CgObjective::value`]: the start point and every
+    /// line-search trial, accepted or not.
+    pub value_calls: usize,
     /// Whether the gradient tolerance was reached.
     pub converged: bool,
+}
+
+/// An objective [`minimize_cg`] minimizes, split so that a line-search
+/// trial pays for its value only.
+///
+/// The solver calls [`value`](Self::value) at the start point and at every
+/// trial point, and [`gradient`](Self::gradient) once at the start and
+/// once per accepted step, always right after the `value` call at that
+/// point. An objective may therefore keep whatever its value pass computed
+/// and finish the gradient from it.
+pub trait CgObjective {
+    /// The objective's value at `x`.
+    fn value(&mut self, x: &[f64]) -> f64;
+
+    /// Overwrites every entry of `grad` with the gradient at the last point
+    /// passed to [`value`](Self::value). The buffer holds an earlier
+    /// gradient.
+    fn gradient(&mut self, grad: &mut [f64]);
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -58,24 +79,32 @@ fn inf_norm(a: &[f64]) -> f64 {
 
 /// Minimizes `f` starting from `x0` with Polak–Ribière+ nonlinear CG.
 ///
-/// The objective closure returns the function value and must overwrite
-/// every entry of `grad`: the buffer it gets holds an earlier gradient.
+/// The Armijo backtracking line search prices each trial by its value
+/// alone; the gradient is taken only where a step is accepted (see
+/// [`CgObjective`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use placer_numeric::{minimize_cg, CgOptions};
+/// use placer_numeric::{minimize_cg, CgObjective, CgOptions};
 ///
-/// // f(x, y) = (x-1)² + 10 (y+2)²
-/// let result = minimize_cg(
-///     |x, g| {
-///         g[0] = 2.0 * (x[0] - 1.0);
-///         g[1] = 20.0 * (x[1] + 2.0);
+/// // f(x, y) = (x-1)² + 10 (y+2)², remembering the last point priced.
+/// struct Bowl([f64; 2]);
+///
+/// impl CgObjective for Bowl {
+///     fn value(&mut self, x: &[f64]) -> f64 {
+///         self.0 = [x[0], x[1]];
 ///         (x[0] - 1.0).powi(2) + 10.0 * (x[1] + 2.0).powi(2)
-///     },
-///     vec![0.0, 0.0],
-///     &CgOptions::default(),
-/// );
+///     }
+///
+///     fn gradient(&mut self, g: &mut [f64]) {
+///         let [x, y] = self.0;
+///         g[0] = 2.0 * (x - 1.0);
+///         g[1] = 20.0 * (y + 2.0);
+///     }
+/// }
+///
+/// let result = minimize_cg(&mut Bowl([0.0; 2]), vec![0.0, 0.0], &CgOptions::default());
 /// assert!(result.converged);
 /// assert!((result.x[0] - 1.0).abs() < 1e-4);
 /// assert!((result.x[1] + 2.0).abs() < 1e-4);
@@ -84,15 +113,14 @@ fn inf_norm(a: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if `x0` is empty.
-pub fn minimize_cg<F>(mut f: F, x0: Vec<f64>, opts: &CgOptions) -> CgResult
-where
-    F: FnMut(&[f64], &mut [f64]) -> f64,
-{
+pub fn minimize_cg(f: &mut impl CgObjective, x0: Vec<f64>, opts: &CgOptions) -> CgResult {
     assert!(!x0.is_empty(), "cannot optimize an empty vector");
     let n = x0.len();
     let mut x = x0;
     let mut grad = vec![0.0; n];
-    let mut value = f(&x, &mut grad);
+    let mut value = f.value(&x);
+    let mut value_calls = 1;
+    f.gradient(&mut grad);
     let mut dir: Vec<f64> = grad.iter().map(|g| -g).collect();
     let mut grad_prev = vec![0.0; n];
     let mut x_new = vec![0.0; n];
@@ -105,6 +133,7 @@ where
                 x,
                 value,
                 iterations: iter,
+                value_calls,
                 converged: true,
             };
         }
@@ -117,7 +146,7 @@ where
             slope = dot(&grad, &dir);
         }
 
-        // Armijo backtracking line search.
+        // Armijo backtracking line search, by value only.
         let mut t = step;
         let mut value_new = value;
         let mut accepted = false;
@@ -125,7 +154,8 @@ where
             for i in 0..n {
                 x_new[i] = x[i] + t * dir[i];
             }
-            value_new = f(&x_new, &mut grad_new);
+            value_new = f.value(&x_new);
+            value_calls += 1;
             if value_new <= value + opts.armijo_c1 * t * slope {
                 accepted = true;
                 break;
@@ -138,9 +168,12 @@ where
                 x,
                 value,
                 iterations: iter,
+                value_calls,
                 converged: inf_norm(&grad) <= opts.grad_tol,
             };
         }
+        // The accepted trial was the last point priced.
+        f.gradient(&mut grad_new);
         // Mildly grow the next initial step so easy regions move fast.
         step = (t * 2.0).min(opts.initial_step * 16.0);
 
@@ -172,6 +205,7 @@ where
         x,
         value,
         iterations: opts.max_iters,
+        value_calls,
         converged,
     }
 }
@@ -180,6 +214,58 @@ where
 mod tests {
     use super::*;
 
+    /// Rosenbrock's function, counting the calls of each pass.
+    #[derive(Default)]
+    struct Rosenbrock {
+        at: [f64; 2],
+        values: usize,
+        gradients: usize,
+    }
+
+    impl CgObjective for Rosenbrock {
+        fn value(&mut self, x: &[f64]) -> f64 {
+            self.values += 1;
+            self.at = [x[0], x[1]];
+            let (a, b) = (x[0], x[1]);
+            (1.0 - a).powi(2) + 100.0 * (b - a * a).powi(2)
+        }
+
+        fn gradient(&mut self, g: &mut [f64]) {
+            self.gradients += 1;
+            let [a, b] = self.at;
+            g[0] = -2.0 * (1.0 - a) - 400.0 * a * (b - a * a);
+            g[1] = 200.0 * (b - a * a);
+        }
+    }
+
+    /// An objective given as a value function and a gradient function.
+    struct Smooth {
+        at: Vec<f64>,
+        f: fn(&[f64]) -> f64,
+        df: fn(&[f64], &mut [f64]),
+    }
+
+    impl Smooth {
+        fn new(f: fn(&[f64]) -> f64, df: fn(&[f64], &mut [f64])) -> Self {
+            Self {
+                at: Vec::new(),
+                f,
+                df,
+            }
+        }
+    }
+
+    impl CgObjective for Smooth {
+        fn value(&mut self, x: &[f64]) -> f64 {
+            self.at = x.to_vec();
+            (self.f)(x)
+        }
+
+        fn gradient(&mut self, g: &mut [f64]) {
+            (self.df)(&self.at, g);
+        }
+    }
+
     #[test]
     fn solves_rosenbrock() {
         let opts = CgOptions {
@@ -187,32 +273,42 @@ mod tests {
             grad_tol: 1e-7,
             ..CgOptions::default()
         };
-        let result = minimize_cg(
-            |x, g| {
-                let (a, b) = (x[0], x[1]);
-                g[0] = -2.0 * (1.0 - a) - 400.0 * a * (b - a * a);
-                g[1] = 200.0 * (b - a * a);
-                (1.0 - a).powi(2) + 100.0 * (b - a * a).powi(2)
-            },
-            vec![-1.2, 1.0],
-            &opts,
-        );
+        let result = minimize_cg(&mut Rosenbrock::default(), vec![-1.2, 1.0], &opts);
         assert!((result.x[0] - 1.0).abs() < 1e-3, "{:?}", result.x);
         assert!((result.x[1] - 1.0).abs() < 1e-3);
     }
 
     #[test]
+    fn trials_take_values_and_accepted_steps_take_gradients() {
+        // Budget-bound, converged and line-search-failure exits alike: one
+        // gradient at the start and one per accepted step, while rejected
+        // trials cost a value each.
+        for (max_iters, grad_tol) in [(3, 0.0), (200, 0.0), (20_000, 1e-7)] {
+            let opts = CgOptions {
+                max_iters,
+                grad_tol,
+                ..CgOptions::default()
+            };
+            let mut f = Rosenbrock::default();
+            let result = minimize_cg(&mut f, vec![-1.2, 1.0], &opts);
+            assert_eq!(f.gradients, result.iterations + 1, "{max_iters} iterations");
+            assert_eq!(f.values, result.value_calls);
+            assert!(
+                f.gradients < f.values,
+                "{} gradients against {} values",
+                f.gradients,
+                f.values
+            );
+        }
+    }
+
+    #[test]
     fn already_optimal_converges_immediately() {
-        let result = minimize_cg(
-            |x, g| {
-                g[0] = 2.0 * x[0];
-                x[0] * x[0]
-            },
-            vec![0.0],
-            &CgOptions::default(),
-        );
+        let mut f = Smooth::new(|x| x[0] * x[0], |x, g| g[0] = 2.0 * x[0]);
+        let result = minimize_cg(&mut f, vec![0.0], &CgOptions::default());
         assert!(result.converged);
         assert_eq!(result.iterations, 0);
+        assert_eq!(result.value_calls, 1);
     }
 
     #[test]
@@ -223,31 +319,21 @@ mod tests {
             ..CgOptions::default()
         };
         // Rosenbrock cannot be solved in 3 iterations.
-        let result = minimize_cg(
-            |x, g| {
-                let (a, b) = (x[0], x[1]);
-                g[0] = -2.0 * (1.0 - a) - 400.0 * a * (b - a * a);
-                g[1] = 200.0 * (b - a * a);
-                (1.0 - a).powi(2) + 100.0 * (b - a * a).powi(2)
-            },
-            vec![-1.2, 1.0],
-            &opts,
-        );
+        let result = minimize_cg(&mut Rosenbrock::default(), vec![-1.2, 1.0], &opts);
         assert_eq!(result.iterations, 3);
         assert!(!result.converged);
     }
 
     #[test]
     fn decreases_nonconvex_objective() {
-        let start = vec![2.0, -1.5];
-        let objective = |x: &[f64], g: &mut [f64]| {
+        let f = |x: &[f64]| x[0].sin() + 0.1 * x[0] * x[0] + x[1] * x[1];
+        let df = |x: &[f64], g: &mut [f64]| {
             g[0] = x[0].cos() + 0.2 * x[0];
             g[1] = 2.0 * x[1];
-            x[0].sin() + 0.1 * x[0] * x[0] + x[1] * x[1]
         };
-        let mut g0 = vec![0.0; 2];
-        let v0 = objective(&start, &mut g0);
-        let result = minimize_cg(objective, start, &CgOptions::default());
+        let start = vec![2.0, -1.5];
+        let v0 = f(&start);
+        let result = minimize_cg(&mut Smooth::new(f, df), start, &CgOptions::default());
         assert!(result.value < v0);
     }
 }

@@ -35,7 +35,7 @@ mod nesterov;
 mod poisson;
 mod proptests;
 
-pub use cg::{minimize_cg, CgOptions, CgResult};
+pub use cg::{minimize_cg, CgObjective, CgOptions, CgResult};
 pub use complex::Complex;
 pub use dct::{dct_ii_naive, dct_iii_naive, DctPlan};
 pub use fft::{dft_naive, fft, fft2, ifft, ifft2, is_power_of_two, Fft2Plan, FftPlan};

@@ -77,10 +77,12 @@ fn bin_span(c: f64, reach: f64, origin: f64, size: f64, bins: usize) -> (usize, 
 /// Bell-shaped density evaluator on a uniform bin grid.
 ///
 /// The kernel is separable: a device's weight in bin `(gx, gy)` is
-/// `px[gx] · py[gy]`. Each evaluation fills one row of 1-D kernel values
-/// per device and axis, then runs the density and gradient passes over
-/// those tables. The evaluator owns the tables and the bin grid, so an
-/// evaluation allocates nothing once it has seen the circuit.
+/// `px[gx] · py[gy]`. [`spread`](Self::spread) fills one row of 1-D kernel
+/// values per device and axis and spreads the devices into the bin grid;
+/// [`penalty`](Self::penalty), [`overflow`](Self::overflow) and
+/// [`gradient`](Self::gradient) then read that density and those tables.
+/// The evaluator owns the tables and the bin grid, so no pass allocates
+/// once it has seen the circuit.
 #[derive(Debug, Clone)]
 pub struct BellDensity {
     origin: (f64, f64),
@@ -117,29 +119,21 @@ impl BellDensity {
         }
     }
 
-    /// Evaluates the quadratic density penalty and accumulates its
-    /// gradient (scaled by `weight`) into `grad` (`[dx…, dy…]`).
-    /// Returns `(penalty, overflow)` where overflow is the fraction of
-    /// device area in bins above full occupancy.
+    /// Spreads every device's area into the bin grid through its bell
+    /// kernel, keeping each device's kernel tables and bin window for
+    /// [`gradient`](Self::gradient). The other passes read this spread.
     ///
     /// # Panics
     ///
-    /// Panics on size mismatches.
-    pub fn evaluate(
-        &mut self,
-        circuit: &Circuit,
-        positions: &[(f64, f64)],
-        weight: f64,
-        grad: &mut [f64],
-    ) -> (f64, f64) {
+    /// Panics if `positions` is sized for another circuit.
+    pub fn spread(&mut self, circuit: &Circuit, positions: &[(f64, f64)]) {
         let n = circuit.num_devices();
         assert_eq!(positions.len(), n, "positions length mismatch");
-        assert_eq!(grad.len(), 2 * n, "gradient length mismatch");
         let (nx, ny) = self.dims;
         let (bx, by) = self.bin;
         let (hbx, hby) = (bx / 2.0, by / 2.0);
         let bin_area = bx * by;
-        let (origin, target) = (self.origin, self.target);
+        let origin = self.origin;
         let Self {
             density,
             windows,
@@ -152,8 +146,8 @@ impl BellDensity {
         kx.resize(n * nx, (0.0, 0.0));
         ky.resize(n * ny, (0.0, 0.0));
 
-        // Pass 1: tabulate each device's kernel over its window and spread
-        // its area, normalized so the total mass equals the device area.
+        // Tabulate each device's kernel over its window and spread its
+        // area, normalized so the total mass equals the device area.
         for (i, dev) in circuit.devices().iter().enumerate() {
             let (cx, cy) = positions[i];
             let hw = dev.width / 2.0;
@@ -195,28 +189,51 @@ impl BellDensity {
                 scale,
             };
         }
+    }
 
-        // Penalty and overflow.
+    /// The quadratic density penalty `Σ_b (D_b − D_target)₊²` of the last
+    /// [`spread`](Self::spread).
+    pub fn penalty(&self) -> f64 {
         let mut penalty = 0.0;
-        let mut over = 0.0;
-        for &d in density.iter() {
-            let excess = d - target;
+        for &d in &self.density {
+            let excess = d - self.target;
             if excess > 0.0 {
                 penalty += excess * excess;
             }
+        }
+        penalty
+    }
+
+    /// The overflow of the last [`spread`](Self::spread) of `circuit`: the
+    /// fraction of device area in bins above full occupancy.
+    pub fn overflow(&self, circuit: &Circuit) -> f64 {
+        let bin_area = self.bin.0 * self.bin.1;
+        let mut over = 0.0;
+        for &d in &self.density {
             over += (d - 1.0).max(0.0) * bin_area;
         }
-        let total_area = circuit.total_device_area().max(1e-12);
-        let overflow = over / total_area;
+        over / circuit.total_device_area().max(1e-12)
+    }
 
-        // Gradient: dP/dx_i = Σ_b 2(D_b − t)+ · scale · dpx · py.
-        for (i, w) in windows.iter().enumerate() {
-            let tx = &kx[i * nx..][..w.cols];
-            let ty = &ky[i * ny..][..w.rows];
+    /// Accumulates the penalty's gradient at the last
+    /// [`spread`](Self::spread), scaled by `weight`, into `grad`
+    /// (`[dx…, dy…]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad` is sized for another circuit than the spread's.
+    pub fn gradient(&self, weight: f64, grad: &mut [f64]) {
+        let n = self.windows.len();
+        assert_eq!(grad.len(), 2 * n, "gradient length mismatch");
+        let (nx, ny) = self.dims;
+        // dP/dx_i = Σ_b 2(D_b − t)+ · scale · dpx · py.
+        for (i, w) in self.windows.iter().enumerate() {
+            let tx = &self.kx[i * nx..][..w.cols];
+            let ty = &self.ky[i * ny..][..w.rows];
             for (gy, &(py, dpy)) in (w.y0..).zip(ty) {
-                let row = &density[gy * nx + w.x0..][..w.cols];
+                let row = &self.density[gy * nx + w.x0..][..w.cols];
                 for (&d, &(px, dpx)) in row.iter().zip(tx) {
-                    let excess = d - target;
+                    let excess = d - self.target;
                     if excess > 0.0 {
                         let e = weight * 2.0 * excess * w.scale;
                         grad[i] += e * dpx * py;
@@ -225,7 +242,6 @@ impl BellDensity {
                 }
             }
         }
-        (penalty, overflow)
     }
 }
 
@@ -263,6 +279,20 @@ mod tests {
         }
     }
 
+    /// One value pass and one gradient pass at `weight`, as Xu19's
+    /// objective runs them: `(penalty, overflow)`, the gradient into `grad`.
+    fn spread_and_gradient(
+        bell: &mut BellDensity,
+        c: &Circuit,
+        positions: &[(f64, f64)],
+        weight: f64,
+        grad: &mut [f64],
+    ) -> (f64, f64) {
+        bell.spread(c, positions);
+        bell.gradient(weight, grad);
+        (bell.penalty(), bell.overflow(c))
+    }
+
     #[test]
     fn stacked_devices_have_higher_penalty() {
         let c = testcases::cc_ota();
@@ -278,10 +308,10 @@ mod tests {
                 )
             })
             .collect();
-        let mut g = vec![0.0; 2 * n];
-        let (p_stacked, o_stacked) = bell.evaluate(&c, &stacked, 1.0, &mut g);
-        g.iter_mut().for_each(|v| *v = 0.0);
-        let (p_spread, o_spread) = bell.evaluate(&c, &spread, 1.0, &mut g);
+        bell.spread(&c, &stacked);
+        let (p_stacked, o_stacked) = (bell.penalty(), bell.overflow(&c));
+        bell.spread(&c, &spread);
+        let (p_spread, o_spread) = (bell.penalty(), bell.overflow(&c));
         assert!(p_stacked > p_spread);
         assert!(o_stacked > o_spread);
     }
@@ -302,10 +332,10 @@ mod tests {
         let mut reused = BellDensity::new((0.0, 0.0), (side, side), 24, 24, 0.4);
         let mut fresh = reused.clone();
         let (mut g_reused, mut g_fresh) = (vec![0.0; 2 * n], vec![0.0; 2 * n]);
-        reused.evaluate(&c, &spread, 1.0, &mut g_reused);
+        spread_and_gradient(&mut reused, &c, &spread, 1.0, &mut g_reused);
         g_reused.iter_mut().for_each(|g| *g = 0.0);
-        let a = reused.evaluate(&c, &edge, 0.7, &mut g_reused);
-        let b = fresh.evaluate(&c, &edge, 0.7, &mut g_fresh);
+        let a = spread_and_gradient(&mut reused, &c, &edge, 0.7, &mut g_reused);
+        let b = spread_and_gradient(&mut fresh, &c, &edge, 0.7, &mut g_fresh);
         assert_eq!(
             (a.0.to_bits(), a.1.to_bits()),
             (b.0.to_bits(), b.1.to_bits())
@@ -328,17 +358,19 @@ mod tests {
             })
             .collect();
         let mut grad = vec![0.0; 2 * n];
-        bell.evaluate(&c, &positions, 1.0, &mut grad);
+        bell.spread(&c, &positions);
+        bell.gradient(1.0, &mut grad);
         let eps = 1e-6;
-        let mut scratch = vec![0.0; 2 * n];
+        let mut penalty_at = |positions: &[(f64, f64)]| {
+            bell.spread(&c, positions);
+            bell.penalty()
+        };
         for dev in [0usize, 3] {
             let orig = positions[dev];
             positions[dev] = (orig.0 + eps, orig.1);
-            scratch.iter_mut().for_each(|v| *v = 0.0);
-            let (fp, _) = bell.evaluate(&c, &positions, 1.0, &mut scratch);
+            let fp = penalty_at(&positions);
             positions[dev] = (orig.0 - eps, orig.1);
-            scratch.iter_mut().for_each(|v| *v = 0.0);
-            let (fm, _) = bell.evaluate(&c, &positions, 1.0, &mut scratch);
+            let fm = penalty_at(&positions);
             positions[dev] = orig;
             let numeric = (fp - fm) / (2.0 * eps);
             // The gradient freezes the per-device mass normalization (which

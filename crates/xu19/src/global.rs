@@ -3,11 +3,11 @@
 //! nonlinear conjugate gradient (the NTUplace3 lineage).
 
 use analog_netlist::{Circuit, Placement};
-use placer_numeric::{minimize_cg, CgOptions};
+use placer_numeric::{minimize_cg, CgObjective, CgOptions};
 
 use crate::bell::BellDensity;
 use crate::lse::LseWirelength;
-use eplace::{symmetry_penalty, BudgetStatus, ConfigError, RunBudget};
+use eplace::{symmetry_penalty, symmetry_value, BudgetStatus, ConfigError, RunBudget};
 
 /// Configuration of the baseline's global placement.
 #[derive(Debug, Clone)]
@@ -215,21 +215,33 @@ impl Xu19Run {
     }
 }
 
-/// Xu19's global-placement objective, `WL + β·D + τ·Sym` (plus the Perf*
-/// hook), with every buffer it touches: the bell grid and its kernel
-/// tables, the LSE pin table and buffers, the point view of the flat
-/// iterate and the density gradient. Built once per run; an evaluation
-/// allocates nothing.
-struct Objective<'c> {
+/// The L1 norm of a gradient, floored away from zero for the weight ratios.
+fn l1(g: &[f64]) -> f64 {
+    g.iter().map(|v| v.abs()).sum::<f64>().max(1e-12)
+}
+
+/// Xu19's global-placement terms, `WL + β·D + τ·Sym`, with every buffer
+/// they touch: the bell grid and its kernel tables, the LSE pin table and
+/// buffers, the point view of the flat iterate and the density gradient.
+/// Built once per run, with the weights set per round; no pass allocates.
+///
+/// The value pass spreads the bell density and prices all three terms,
+/// keeping the bell tables and the LSE exponentials; the gradient pass
+/// builds each term's gradient from them.
+struct Terms<'c> {
     circuit: &'c Circuit,
     bell: BellDensity,
     lse: LseWirelength,
     gamma: f64,
     pts: Vec<(f64, f64)>,
     g_bell: Vec<f64>,
+    /// The density weight β of the running round.
+    beta: f64,
+    /// The symmetry weight τ.
+    tau: f64,
 }
 
-impl<'c> Objective<'c> {
+impl<'c> Terms<'c> {
     fn new(circuit: &'c Circuit, bell: BellDensity, gamma: f64) -> Self {
         let n = circuit.num_devices();
         Self {
@@ -239,55 +251,109 @@ impl<'c> Objective<'c> {
             gamma,
             pts: vec![(0.0, 0.0); n],
             g_bell: vec![0.0; 2 * n],
+            beta: 0.0,
+            tau: 0.0,
         }
     }
 
-    /// Loads the flat iterate `v` (`x[0..n]`, `y[n..2n]`) into `pts` and
-    /// evaluates the bell density there at `weight`, its gradient into
-    /// `g_bell`. Returns `(penalty, overflow)`.
-    fn density(&mut self, v: &[f64], weight: f64) -> (f64, f64) {
+    /// Loads the flat iterate `v` (`x[0..n]`, `y[n..2n]`) into `pts`.
+    fn load(&mut self, v: &[f64]) {
         let n = self.pts.len();
         for (i, p) in self.pts.iter_mut().enumerate() {
             *p = (v[i], v[n + i]);
         }
-        self.g_bell.fill(0.0);
-        self.bell
-            .evaluate(self.circuit, &self.pts, weight, &mut self.g_bell)
     }
 
-    /// L1 norms of the wirelength, density and symmetry gradients at `v`,
-    /// each at unit weight: the scales the run's weights start from.
-    fn gradient_norms(&mut self, v: &[f64]) -> (f64, f64, f64) {
-        let l1 = |g: &[f64]| g.iter().map(|v| v.abs()).sum::<f64>().max(1e-12);
-        self.density(v, 1.0);
+    /// Loads `v` and spreads the bell density there.
+    fn spread(&mut self, v: &[f64]) {
+        self.load(v);
+        self.bell.spread(self.circuit, &self.pts);
+    }
+
+    /// The density overflow at `v`.
+    fn overflow(&mut self, v: &[f64]) -> f64 {
+        self.spread(v);
+        self.bell.overflow(self.circuit)
+    }
+
+    /// L1 norms of the wirelength and symmetry gradients at `v`, each at
+    /// unit weight: the scales τ and a fresh run's β start from.
+    fn gradient_norms(&mut self, v: &[f64]) -> (f64, f64) {
+        self.load(v);
         let mut g = vec![0.0; v.len()];
-        self.lse.evaluate(&self.pts, self.gamma, &mut g);
+        self.lse.value(&self.pts, self.gamma);
+        self.lse.gradient(&mut g);
         let wl = l1(&g);
         g.fill(0.0);
         symmetry_penalty(self.circuit, &self.pts, 1.0, &mut g);
-        (wl, l1(&self.g_bell), l1(&g))
+        (wl, l1(&g))
     }
 
-    /// The objective at `v`; overwrites `grad` with its gradient.
-    fn evaluate(
-        &mut self,
-        v: &[f64],
-        grad: &mut [f64],
-        beta: f64,
-        tau: f64,
-        extra: Option<&mut ExtraGradientFn<'_>>,
-    ) -> f64 {
-        let (pen, _) = self.density(v, beta);
-        let wl = self.lse.evaluate(&self.pts, self.gamma, grad);
+    /// L1 norm of the density gradient at `v` at unit weight. Only a fresh
+    /// run reads it: a resume takes β from its checkpoint.
+    fn density_norm(&mut self, v: &[f64]) -> f64 {
+        self.spread(v);
+        self.g_bell.fill(0.0);
+        self.bell.gradient(1.0, &mut self.g_bell);
+        l1(&self.g_bell)
+    }
+
+    /// The terms' value at `v`.
+    fn value(&mut self, v: &[f64]) -> f64 {
+        self.spread(v);
+        let pen = self.bell.penalty();
+        let wl = self.lse.value(&self.pts, self.gamma);
+        let sym = symmetry_value(self.circuit, &self.pts);
+        wl + self.beta * pen + self.tau * sym
+    }
+
+    /// Overwrites `grad` with the terms' gradient at the last
+    /// [`value`](Self::value) point.
+    fn gradient(&mut self, grad: &mut [f64]) {
+        self.lse.gradient(grad);
+        self.g_bell.fill(0.0);
+        self.bell.gradient(self.beta, &mut self.g_bell);
         for (g, gb) in grad.iter_mut().zip(&self.g_bell) {
             *g += gb;
         }
-        let sym = symmetry_penalty(self.circuit, &self.pts, tau, grad);
-        let extra_val = match extra {
-            Some(hook) => hook(&self.pts, grad),
+        symmetry_penalty(self.circuit, &self.pts, self.tau, grad);
+    }
+}
+
+/// The Perf* hook and the full gradient at the last value point, which it
+/// extends.
+struct Perf<'h, 'e> {
+    hook: &'h mut ExtraGradientFn<'e>,
+    grad: Vec<f64>,
+}
+
+/// The objective Xu19's CG minimizes: the [`Terms`], plus the Perf* hook
+/// when there is one. The hook normalizes α on its first call against the
+/// gradient accumulated before it, so with a hook the value pass takes the
+/// full gradient as well.
+struct Objective<'c, 'h, 'e> {
+    terms: Terms<'c>,
+    perf: Option<Perf<'h, 'e>>,
+}
+
+impl CgObjective for Objective<'_, '_, '_> {
+    fn value(&mut self, v: &[f64]) -> f64 {
+        let value = self.terms.value(v);
+        let extra = match &mut self.perf {
+            Some(perf) => {
+                self.terms.gradient(&mut perf.grad);
+                (perf.hook)(&self.terms.pts, &mut perf.grad)
+            }
             None => 0.0,
         };
-        wl + beta * pen + tau * sym + extra_val
+        value + extra
+    }
+
+    fn gradient(&mut self, grad: &mut [f64]) {
+        match &self.perf {
+            Some(perf) => grad.copy_from_slice(&perf.grad),
+            None => self.terms.gradient(grad),
+        }
     }
 }
 
@@ -297,7 +363,7 @@ impl<'c> Objective<'c> {
 pub fn run_global_budgeted(
     circuit: &Circuit,
     cfg: &Xu19GlobalConfig,
-    mut extra: Option<&mut ExtraGradientFn<'_>>,
+    extra: Option<&mut ExtraGradientFn<'_>>,
     budget: &RunBudget,
     resume: Option<&Xu19Checkpoint>,
 ) -> Xu19Run {
@@ -315,7 +381,13 @@ pub fn run_global_budgeted(
         cfg.utilization,
     );
     let gamma = cfg.gamma_bins * side / cfg.bins as f64;
-    let mut objective = Objective::new(circuit, bell, gamma);
+    let mut objective = Objective {
+        terms: Terms::new(circuit, bell, gamma),
+        perf: extra.map(|hook| Perf {
+            hook,
+            grad: vec![0.0; 2 * n],
+        }),
+    };
 
     // Deterministic initial spread (same spiral as ePlace-A for fairness).
     let golden = std::f64::consts::PI * (3.0 - 5.0_f64.sqrt());
@@ -329,10 +401,10 @@ pub fn run_global_budgeted(
     }
 
     // Normalize weights from initial gradients.
-    let (wl_norm, bell_norm, sym_norm) = objective.gradient_norms(&x);
-    let mut beta = 0.2 * wl_norm / bell_norm;
-    let tau = cfg.tau_scale * wl_norm / sym_norm;
+    let (wl_norm, sym_norm) = objective.terms.gradient_norms(&x);
+    objective.terms.tau = cfg.tau_scale * wl_norm / sym_norm;
 
+    let mut beta;
     let mut iterations = 0;
     let mut overflow = 1.0;
     let start_round = match resume {
@@ -344,7 +416,10 @@ pub fn run_global_budgeted(
             overflow = ck.overflow;
             ck.round
         }
-        None => 0,
+        None => {
+            beta = 0.2 * wl_norm / objective.terms.density_norm(&x);
+            0
+        }
     };
     let mut exhausted = false;
     for round in start_round..cfg.rounds {
@@ -372,11 +447,8 @@ pub fn run_global_budgeted(
             initial_step: side / cfg.bins as f64 * 0.5,
             ..CgOptions::default()
         };
-        let result = minimize_cg(
-            |v, grad| objective.evaluate(v, grad, beta, tau, extra.as_deref_mut()),
-            std::mem::take(&mut x),
-            &opts,
-        );
+        objective.terms.beta = beta;
+        let result = minimize_cg(&mut objective, std::mem::take(&mut x), &opts);
         x = result.x;
         iterations += result.iterations;
         // Clamp into the region.
@@ -386,13 +458,14 @@ pub fn run_global_budgeted(
             x[i] = x[i].clamp(hw, side_x - hw);
             x[n + i] = x[n + i].clamp(hh, side_y - hh);
         }
-        overflow = objective.density(&x, 1.0).1;
+        overflow = objective.terms.overflow(&x);
         placer_telemetry::record(
             "xu_round",
             &[
                 ("round", round as f64),
                 ("rounds", cfg.rounds as f64),
                 ("cg_iters", result.iterations as f64),
+                ("cg_values", result.value_calls as f64),
                 ("total_iters", iterations as f64),
                 ("overflow", overflow),
                 ("beta", beta),

@@ -47,5 +47,5 @@ pub use global::{
     Xu19GlobalStats, Xu19Run,
 };
 pub use legalize::{legalize_two_stage, LegalizeStats};
-pub use lse::{lse_spread_with_grad, LseWirelength};
+pub use lse::LseWirelength;
 pub use pipeline::Xu19Placer;

@@ -9,38 +9,24 @@ use std::ops::Range;
 
 use analog_netlist::Circuit;
 
-/// One axis of LSE smoothing: smoothed spread plus gradient.
-///
-/// `exps` is scratch as long as `coords`; it keeps the min-side
-/// exponentials for the gradient pass, so every exponential is computed
-/// once.
-pub fn lse_spread_with_grad(
-    coords: &[f64],
-    gamma: f64,
-    grads: &mut [f64],
-    exps: &mut [f64],
-) -> f64 {
-    debug_assert_eq!(coords.len(), grads.len());
-    debug_assert_eq!(coords.len(), exps.len());
-    if coords.len() < 2 {
-        grads.iter_mut().for_each(|g| *g = 0.0);
-        return 0.0;
-    }
+/// The value pass of one axis of LSE smoothing: fills `hi` with
+/// `e^{(xᵢ − max)/γ}` and `lo` with `e^{(min − xᵢ)/γ}` and returns the
+/// smoothed spread with the two sums, `(value, Σhi, Σlo)`. The gradient is
+/// `hi/Σhi − lo/Σlo`, so keeping the exponentials finishes it without
+/// computing any of them again.
+fn lse_axis(coords: &[f64], gamma: f64, hi: &mut [f64], lo: &mut [f64]) -> (f64, f64, f64) {
     let xmax = coords.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let xmin = coords.iter().copied().fold(f64::INFINITY, f64::min);
     let mut s_max = 0.0;
     let mut s_min = 0.0;
-    for ((&x, g), e) in coords.iter().zip(grads.iter_mut()).zip(exps.iter_mut()) {
-        *g = ((x - xmax) / gamma).exp();
-        *e = ((xmin - x) / gamma).exp();
-        s_max += *g;
-        s_min += *e;
+    for ((&x, h), l) in coords.iter().zip(hi.iter_mut()).zip(lo.iter_mut()) {
+        *h = ((x - xmax) / gamma).exp();
+        *l = ((xmin - x) / gamma).exp();
+        s_max += *h;
+        s_min += *l;
     }
     let value = xmax + gamma * s_max.ln() + (-(xmin) + gamma * s_min.ln());
-    for (g, &e) in grads.iter_mut().zip(exps.iter()) {
-        *g = *g / s_max - e / s_min;
-    }
-    value
+    (value, s_max, s_min)
 }
 
 /// A pin as the LSE pass reads it: its device, the device's half extents
@@ -57,20 +43,25 @@ struct PinRef {
 /// conventions as `eplace::wirelength::wa_wirelength` (`[dx…, dy…]`
 /// gradient).
 ///
-/// The pin table is built once from the circuit; the per-pin coordinate,
-/// gradient and exponential buffers are owned and reused, so an evaluation
-/// allocates nothing.
+/// [`value`](Self::value) prices a placement and keeps every pin's
+/// exponentials and every net's sums; [`gradient`](Self::gradient) builds
+/// the gradient at that placement from them. The pin table is built once
+/// from the circuit and every buffer is owned and reused, so neither pass
+/// allocates.
 #[derive(Debug, Clone)]
 pub struct LseWirelength {
     n: usize,
     /// Nets with at least two pins: their range in `pins` and weight.
     nets: Vec<(Range<usize>, f64)>,
     pins: Vec<PinRef>,
+    /// Per pin, the last value pass's max-side exponentials on x and on y.
+    hi: [Vec<f64>; 2],
+    /// Per pin, its min-side exponentials on x and on y.
+    lo: [Vec<f64>; 2],
+    /// Per net, the last value pass's sums `(Σhi, Σlo)` on x and on y.
+    sums: Vec<[(f64, f64); 2]>,
     xs: Vec<f64>,
     ys: Vec<f64>,
-    gx: Vec<f64>,
-    gy: Vec<f64>,
-    exps: Vec<f64>,
 }
 
 impl LseWirelength {
@@ -95,31 +86,30 @@ impl LseWirelength {
             widest = widest.max(net.pins.len());
             nets.push((start..pins.len(), net.weight));
         }
+        let per_pin = || [vec![0.0; pins.len()], vec![0.0; pins.len()]];
         Self {
             n: circuit.num_devices(),
+            hi: per_pin(),
+            lo: per_pin(),
+            sums: vec![[(0.0, 0.0); 2]; nets.len()],
             nets,
             pins,
             xs: vec![0.0; widest],
             ys: vec![0.0; widest],
-            gx: vec![0.0; widest],
-            gy: vec![0.0; widest],
-            exps: vec![0.0; widest],
         }
     }
 
-    /// Evaluates the smoothed wirelength at `positions` and overwrites
-    /// `grad` with its gradient.
+    /// The smoothed wirelength at `positions`, keeping what
+    /// [`gradient`](Self::gradient) needs.
     ///
     /// # Panics
     ///
-    /// Panics on size mismatches.
-    pub fn evaluate(&mut self, positions: &[(f64, f64)], gamma: f64, grad: &mut [f64]) -> f64 {
-        let n = self.n;
-        assert_eq!(positions.len(), n, "positions length mismatch");
-        assert_eq!(grad.len(), 2 * n, "gradient length mismatch");
-        grad.fill(0.0);
+    /// Panics if `positions` is sized for another circuit.
+    pub fn value(&mut self, positions: &[(f64, f64)], gamma: f64) -> f64 {
+        assert_eq!(positions.len(), self.n, "positions length mismatch");
+        let ([hi_x, hi_y], [lo_x, lo_y]) = (&mut self.hi, &mut self.lo);
         let mut total = 0.0;
-        for (range, weight) in &self.nets {
+        for ((range, weight), sums) in self.nets.iter().zip(&mut self.sums) {
             let pins = &self.pins[range.clone()];
             let m = pins.len();
             let (xs, ys) = (&mut self.xs[..m], &mut self.ys[..m]);
@@ -128,17 +118,36 @@ impl LseWirelength {
                 *x = cx - p.half.0 + p.offset.0;
                 *y = cy - p.half.1 + p.offset.1;
             }
-            let (gx, gy) = (&mut self.gx[..m], &mut self.gy[..m]);
-            let exps = &mut self.exps[..m];
-            let wx = lse_spread_with_grad(xs, gamma, gx, exps);
-            let wy = lse_spread_with_grad(ys, gamma, gy, exps);
+            let r = range.clone();
+            let (wx, sx_hi, sx_lo) =
+                lse_axis(xs, gamma, &mut hi_x[r.clone()], &mut lo_x[r.clone()]);
+            let (wy, sy_hi, sy_lo) = lse_axis(ys, gamma, &mut hi_y[r.clone()], &mut lo_y[r]);
+            *sums = [(sx_hi, sx_lo), (sy_hi, sy_lo)];
             total += weight * (wx + wy);
-            for ((p, &dx), &dy) in pins.iter().zip(gx.iter()).zip(gy.iter()) {
+        }
+        total
+    }
+
+    /// Overwrites `grad` with the gradient at the placement of the last
+    /// [`value`](Self::value) call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad` is sized for another circuit.
+    pub fn gradient(&self, grad: &mut [f64]) {
+        let n = self.n;
+        assert_eq!(grad.len(), 2 * n, "gradient length mismatch");
+        let ([hi_x, hi_y], [lo_x, lo_y]) = (&self.hi, &self.lo);
+        grad.fill(0.0);
+        for ((range, weight), sums) in self.nets.iter().zip(&self.sums) {
+            let [(sx_hi, sx_lo), (sy_hi, sy_lo)] = *sums;
+            for (j, p) in range.clone().zip(&self.pins[range.clone()]) {
+                let dx = hi_x[j] / sx_hi - lo_x[j] / sx_lo;
+                let dy = hi_y[j] / sy_hi - lo_y[j] / sy_lo;
                 grad[p.device] += weight * dx;
                 grad[n + p.device] += weight * dy;
             }
         }
-        total
     }
 }
 
@@ -147,8 +156,14 @@ mod tests {
     use super::*;
     use analog_netlist::testcases;
 
+    /// One axis's smoothed spread, its gradient into `grads`.
     fn spread(coords: &[f64], gamma: f64, grads: &mut [f64]) -> f64 {
-        lse_spread_with_grad(coords, gamma, grads, &mut vec![0.0; coords.len()])
+        let mut lo = vec![0.0; coords.len()];
+        let (value, s_hi, s_lo) = lse_axis(coords, gamma, grads, &mut lo);
+        for (g, l) in grads.iter_mut().zip(lo) {
+            *g = *g / s_hi - l / s_lo;
+        }
+        value
     }
 
     #[test]
@@ -227,7 +242,9 @@ mod tests {
         let n = c.num_devices();
         let positions: Vec<(f64, f64)> = (0..n).map(|i| (i as f64 * 2.0, 0.0)).collect();
         let mut grad = vec![0.0; 2 * n];
-        let v = LseWirelength::new(&c).evaluate(&positions, 1.0, &mut grad);
+        let mut lse = LseWirelength::new(&c);
+        let v = lse.value(&positions, 1.0);
+        lse.gradient(&mut grad);
         assert!(v > 0.0);
         assert!(grad.iter().any(|g| g.abs() > 0.0));
     }
@@ -239,10 +256,14 @@ mod tests {
         let a: Vec<(f64, f64)> = (0..n).map(|i| (i as f64 * 2.0, 1.0)).collect();
         let b: Vec<(f64, f64)> = (0..n).map(|i| (3.0, i as f64 * 0.7)).collect();
         let mut reused = LseWirelength::new(&c);
+        let mut fresh = LseWirelength::new(&c);
         let (mut g_reused, mut g_fresh) = (vec![0.0; 2 * n], vec![0.0; 2 * n]);
-        reused.evaluate(&a, 1.5, &mut g_reused);
-        let v_reused = reused.evaluate(&b, 1.5, &mut g_reused);
-        let v_fresh = LseWirelength::new(&c).evaluate(&b, 1.5, &mut g_fresh);
+        reused.value(&a, 1.5);
+        reused.gradient(&mut g_reused);
+        let v_reused = reused.value(&b, 1.5);
+        reused.gradient(&mut g_reused);
+        let v_fresh = fresh.value(&b, 1.5);
+        fresh.gradient(&mut g_fresh);
         assert_eq!(v_reused.to_bits(), v_fresh.to_bits());
         assert_eq!(g_reused, g_fresh);
     }

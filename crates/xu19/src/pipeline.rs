@@ -188,16 +188,7 @@ impl Placer for Xu19Placer {
         if checkpoint.placer() != "xu19" {
             return None;
         }
-        let n = circuit.num_devices();
-        let x = checkpoint.get_f64s("x").ok()?;
-        if x.len() != 2 * n {
-            return None;
-        }
-        let pts: Vec<(f64, f64)> = (0..n).map(|i| (x[i], x[n + i])).collect();
-        Some(eplace::RaceProbe {
-            hpwl: eplace::wirelength::exact_hpwl(circuit, &pts),
-            area: eplace::exact_area(circuit, &pts),
-        })
+        eplace::RaceProbe::of_iterate(circuit, checkpoint.get_f64s("x").ok()?)
     }
 }
 

@@ -254,10 +254,10 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
     let gnn_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
 
     // --- Xu19's CG objective under live instrumentation. ---------------
-    // The bell density and LSE passes called directly, then whole CG runs:
-    // one round with more iterations must allocate no more than one with
-    // fewer, so a CG iteration (line search, objective, direction update)
-    // allocates nothing.
+    // The bell density and LSE value and gradient passes called directly,
+    // then whole CG runs: one round with more iterations must allocate no
+    // more than one with fewer, so a CG iteration (value-only line search,
+    // gradient, direction update) allocates nothing.
     let xu_circuit = testcases::vco2();
     let xn = xu_circuit.num_devices();
     let side = (xu_circuit.total_device_area() / 0.35).sqrt();
@@ -274,8 +274,11 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
     let mut xgrad = vec![0.0f64; 2 * xn];
     let mut xu_eval = |pts: &[(f64, f64)], grad: &mut [f64]| {
         let _span = XU_SPAN.enter();
-        let wl = lse.evaluate(pts, 1.5, grad);
-        let (pen, of) = bell.evaluate(&xu_circuit, pts, 0.5, grad);
+        let wl = lse.value(pts, 1.5);
+        bell.spread(&xu_circuit, pts);
+        let (pen, of) = (bell.penalty(), bell.overflow(&xu_circuit));
+        lse.gradient(grad);
+        bell.gradient(0.5, grad);
         placer_telemetry::record("test_xu19", &[("wl", wl), ("pen", pen), ("overflow", of)]);
     };
     for _ in 0..8 {
@@ -418,7 +421,8 @@ fn hot_loops_stay_zero_alloc_with_live_telemetry() {
     );
     assert_eq!(
         xu19_eval_allocs, 0,
-        "Xu19 bell + LSE passes allocated {xu19_eval_allocs} times across 200 instrumented calls"
+        "Xu19 bell + LSE value and gradient passes allocated {xu19_eval_allocs} times across 200 \
+         instrumented calls"
     );
     assert!(
         long_iters > short_iters,
